@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution, geodesics, phases, states, su3
+from .errors import ChartSingular
 
 
 @dataclass(frozen=True)
@@ -39,23 +40,18 @@ def _rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
 
-def _nonorthogonal_pair(rng, floor=1e-3):
+def _nonorthogonal_states(rng, count=3, floor=1e-3):
+    """Haar-random states, redrawn until every cyclically consecutive pair
+    has transition probability above floor."""
     while True:
-        pair = states.random_states(rng, 2)
-        if abs(np.vdot(pair[0], pair[1])) ** 2 > floor:
-            return pair
-
-
-def _nonorthogonal_triangle(rng, floor=1e-3):
-    while True:
-        psis = states.random_states(rng, 3)
-        ips = (
-            abs(np.vdot(psis[0], psis[1])) ** 2,
-            abs(np.vdot(psis[1], psis[2])) ** 2,
-            abs(np.vdot(psis[2], psis[0])) ** 2,
-        )
-        if min(ips) > floor:
+        psis = states.random_states(rng, count)
+        pairs = zip(psis, np.roll(psis, -1, axis=0))
+        if all(abs(np.vdot(a, b)) ** 2 > floor for a, b in pairs):
             return psis
+
+
+# perfbench replays the triangle sweeps' first draw under this name
+_nonorthogonal_triangle = _nonorthogonal_states
 
 
 def check_algebra_tables(seed, trials):
@@ -176,7 +172,7 @@ def check_geodesics(seed, trials):
     rank_failures = 0
     for k in range(trials):
         rng = _rng(seed, k)
-        pair = _nonorthogonal_pair(rng)
+        pair = _nonorthogonal_states(rng, 2)
         curve = geodesics.geodesic_between(
             states.density_of(pair[0]), states.density_of(pair[1])
         )
@@ -217,7 +213,7 @@ def check_length_and_zero_phase(seed, trials):
     worst_len = worst_phase = 0.0
     for k in range(trials):
         rng = _rng(seed, k)
-        pair = _nonorthogonal_pair(rng)
+        pair = _nonorthogonal_states(rng, 2)
         curve = geodesics.geodesic_between(
             states.density_of(pair[0]), states.density_of(pair[1])
         )
@@ -239,8 +235,15 @@ def check_triangle_oracles(seed, trials):
     worst_trio = worst_line = worst_rephase = worst_su3 = 0.0
     for k in range(trials):
         rng = _rng(seed, k)
-        psis = _nonorthogonal_triangle(rng)
-        rhos = [states.density_of(p) for p in psis]
+        # redraw, like the orthogonality screen, until the sides avoid the chart's edge
+        while True:
+            psis = _nonorthogonal_states(rng)
+            rhos = [states.density_of(p) for p in psis]
+            try:
+                line = phases.triangle_line_integral_phase(*rhos).value
+                break
+            except ChartSingular:
+                pass
         ns = [states.n_vector_of(p) for p in psis]
         closed = phases.pancharatnam_phase(
             phases.canonicalize_triangle(*rhos)
@@ -253,7 +256,6 @@ def check_triangle_oracles(seed, trials):
             phases.phase_distance(closed, nvec),
             phases.phase_distance(barg, nvec),
         )
-        line = phases.triangle_line_integral_phase(*rhos).value
         worst_line = max(worst_line, phases.phase_distance(line, closed))
         rephased = [p * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for p in psis]
         worst_rephase = max(
@@ -278,7 +280,7 @@ def check_evolution_agreement(seed, trials):
     worst_evo = worst_closure = worst_dyn = 0.0
     for k in range(trials):
         rng = _rng(seed, k)
-        psis = _nonorthogonal_triangle(rng)
+        psis = _nonorthogonal_states(rng)
         rhos = [states.density_of(p) for p in psis]
         closed = phases.pancharatnam_phase(
             phases.canonicalize_triangle(*rhos)
@@ -362,7 +364,7 @@ def check_geodesic_generation(seed, trials):
     worst_end = worst_energy = 0.0
     for k in range(trials):
         rng = _rng(seed, k)
-        pair = _nonorthogonal_pair(rng)
+        pair = _nonorthogonal_states(rng, 2)
         na, nb = states.n_vectors_of(pair)
         coeffs = geodesics.constant_hamiltonian(na, nb)
         opening = geodesics.geodesic_angle(na, nb)
@@ -433,13 +435,13 @@ def run_all(seed=0, trials=100, overrides=None):
     results = []
     for check in ALL_CHECKS:
         results.extend(check(seed, trials))
-    known = {r.name for r in results}
-    unknown = set(overrides) - known
-    if unknown:
-        raise KeyError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
+    bounded = {r.name for r in results if not isinstance(r.tolerance, tuple)}
+    rejected = set(overrides) - bounded
+    if rejected:
+        raise KeyError(f"no upper or lower bound named {sorted(rejected)}")
     adjusted = []
     for r in results:
-        if r.name in overrides and not isinstance(r.tolerance, tuple):
+        if r.name in overrides:
             tol = float(overrides[r.name])
             passed = r.value >= tol if r.lower_bound else r.value <= tol
             r = CheckResult(r.name, r.value, tol, passed, r.trials, r.lower_bound)

@@ -20,13 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from . import checks, evolution, geodesics, phases, states
-from .errors import (
-    InvalidStep,
-    NotNormalized,
-    OrthogonalityError,
-    OutOfRange,
-    TriphaseError,
-)
+from .errors import NotNormalized, OrthogonalityError, OutOfRange, TriphaseError
 
 
 class _InputError(Exception):
@@ -299,9 +293,6 @@ def main(argv=None):
     except OrthogonalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OutOfRange, InvalidStep) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TriphaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,9 @@ integrator usable for the parameter-dependent geodesic family.
 State picture:        i dpsi/ds = H(s) psi      (renormalized each step)
 Eight-vector picture: dn/ds = 2 h(s) ^ n        (no renormalization)
 
-Both use fixed-step classical Runge-Kutta; the step divides each segment
+Both run one fixed-step classical Runge-Kutta walk for the linear ODE
+dx/ds = c A(s) x, with c = -i and A = H in the state picture and c = 1,
+A = 2 F.h in the eight-vector picture; the step divides each segment
 duration exactly.
 """
 
@@ -46,18 +48,43 @@ def _check_step(step):
         raise InvalidStep(f"step {step!r} must be positive and finite")
 
 
-def _matrix_provider(hamiltonian):
-    if callable(hamiltonian):
-        return lambda s: hamiltonian(s).matrix()
-    matrix = hamiltonian.matrix()
-    return lambda s: matrix
+def _walk(x, schedule, step, operator, rate, begin=None, settle=None):
+    """Classical RK4 for dx/ds = rate(A, x) through a schedule.
 
-
-def _coeff_provider(hamiltonian):
-    if callable(hamiltonian):
-        return lambda s: hamiltonian(s).h
-    h = np.asarray(hamiltonian.h, dtype=float)
-    return lambda s: h
+    operator maps a segment's HamiltonianCoeffs to A.  A constant segment
+    evaluates it once; a callable one at each step's middle and end, and
+    the end serves as the next step's start.  begin(x, A) runs at each
+    segment start; settle(x, h, A_end) maps each stepped x to the one
+    carried on.  Returns the sampled s and the list of x.
+    """
+    s_values = [0.0]
+    xs = [x]
+    s_global = 0.0
+    for hamiltonian, duration in schedule.segments:
+        varying = callable(hamiltonian)
+        start = mid = end = operator(hamiltonian(0.0) if varying else hamiltonian)
+        n_steps = max(1, round(duration / step))
+        h = duration / n_steps
+        local = 0.0
+        if begin is not None:
+            begin(x, start)
+        for _ in range(n_steps):
+            if varying:
+                mid = operator(hamiltonian(local + 0.5 * h))
+                end = operator(hamiltonian(local + h))
+            k1 = rate(start, x)
+            k2 = rate(mid, x + 0.5 * h * k1)
+            k3 = rate(mid, x + 0.5 * h * k2)
+            k4 = rate(end, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if settle is not None:
+                x = settle(x, h, end)
+            start = end
+            local += h
+            s_values.append(s_global + local)
+            xs.append(x)
+        s_global += duration
+    return np.array(s_values), xs
 
 
 @dataclass(frozen=True)
@@ -76,43 +103,37 @@ class Trajectory:
     phi_dyn: np.ndarray | None = None
 
 
+def _schrodinger_rate(matrix, psi):
+    return -1j * (matrix @ psi)
+
+
 def integrate_state(psi0, schedule, step=1e-3):
     """RK4-integrate i dpsi/ds = H psi through a schedule, recording phases."""
     _check_step(step)
     psi = states.assert_normalized(psi0).astype(complex)
-    s_values = [0.0]
-    psis = [psi]
     phi_dyn = [0.0]
-    s_global = 0.0
-    dyn = 0.0
-    for hamiltonian, duration in schedule.segments:
-        matrix_at = _matrix_provider(hamiltonian)
-        n_steps = max(1, round(duration / step))
-        h = duration / n_steps
-        local = 0.0
-        energy = np.vdot(psi, matrix_at(0.0) @ psi).real
-        for _ in range(n_steps):
-            m1 = matrix_at(local)
-            m2 = matrix_at(local + 0.5 * h)
-            m3 = matrix_at(local + h)
-            k1 = -1j * (m1 @ psi)
-            k2 = -1j * (m2 @ (psi + 0.5 * h * k1))
-            k3 = -1j * (m2 @ (psi + 0.5 * h * k2))
-            k4 = -1j * (m3 @ (psi + h * k3))
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            psi = psi / np.linalg.norm(psi)
-            local += h
-            next_energy = np.vdot(psi, m3 @ psi).real
-            dyn -= 0.5 * h * (energy + next_energy)
-            energy = next_energy
-            s_values.append(s_global + local)
-            psis.append(psi)
-            phi_dyn.append(dyn)
-        s_global += duration
+    energy = 0.0
+
+    def begin(psi, matrix):
+        nonlocal energy
+        energy = np.vdot(psi, matrix @ psi).real
+
+    def settle(psi, h, matrix):
+        # renormalize, then add one trapezoid of the dynamical phase -int <H> ds
+        nonlocal energy
+        psi = psi / np.linalg.norm(psi)
+        next_energy = np.vdot(psi, matrix @ psi).real
+        phi_dyn.append(phi_dyn[-1] - 0.5 * h * (energy + next_energy))
+        energy = next_energy
+        return psi
+
+    s, psis = _walk(
+        psi, schedule, step, lambda c: c.matrix(), _schrodinger_rate, begin, settle
+    )
     psis = np.array(psis)
     phi_p = np.angle(psis @ psis[0].conj())
     return Trajectory(
-        s=np.array(s_values),
+        s=s,
         n=states.n_vectors_of(psis),
         psi=psis,
         phi_p=phi_p,
@@ -120,41 +141,16 @@ def integrate_state(psi0, schedule, step=1e-3):
     )
 
 
+def _adjoint_operator(coeffs):
+    # 2 h ^ n is linear in n; contract the antisymmetric table once
+    return 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)
+
+
 def integrate_nvector(n0, schedule, step=1e-3):
     """RK4-integrate dn/ds = 2 h ^ n through a schedule in the adjoint picture."""
     _check_step(step)
-    n = states.assert_on_O(n0)
-    s_values = [0.0]
-    ns = [n]
-    s_global = 0.0
-    # 2 h ^ n is linear in n; contract the antisymmetric table once per stage
-    def generator(h_vec):
-        return 2.0 * np.einsum("rst,s->rt", su3.F, h_vec)
-
-    for hamiltonian, duration in schedule.segments:
-        coeffs_at = _coeff_provider(hamiltonian)
-        time_dependent = callable(hamiltonian)
-        n_steps = max(1, round(duration / step))
-        h = duration / n_steps
-        local = 0.0
-        w1 = generator(coeffs_at(0.0))
-        for _ in range(n_steps):
-            if time_dependent:
-                w1 = generator(coeffs_at(local))
-                w2 = generator(coeffs_at(local + 0.5 * h))
-                w3 = generator(coeffs_at(local + h))
-            else:
-                w2 = w3 = w1
-            k1 = w1 @ n
-            k2 = w2 @ (n + 0.5 * h * k1)
-            k3 = w2 @ (n + 0.5 * h * k2)
-            k4 = w3 @ (n + h * k3)
-            n = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            local += h
-            s_values.append(s_global + local)
-            ns.append(n)
-        s_global += duration
-    return Trajectory(s=np.array(s_values), n=np.array(ns))
+    s, ns = _walk(states.assert_on_O(n0), schedule, step, _adjoint_operator, np.matmul)
+    return Trajectory(s=s, n=np.array(ns))
 
 
 def triangle_schedule(rho1, rho2, rho3):

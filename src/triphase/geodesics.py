@@ -27,8 +27,6 @@ from .errors import (
     TooFewSamples,
 )
 
-# Orthogonality cutoff on the transition probability Tr(rho1 rho2).
-EPS_ORTH = 1e-10
 COINCIDENT_TOL = 1e-12
 
 
@@ -67,9 +65,7 @@ def in_phase_lift(rho1, rho2):
     """
     psi1 = states.lift_of_density(rho1)
     psi2 = states.lift_of_density(rho2)
-    ip = np.vdot(psi1, psi2)
-    if abs(ip) ** 2 <= EPS_ORTH:
-        raise OrthogonalEndpoints(f"transition probability {abs(ip)**2:.3e} below cutoff")
+    ip = states.nonorthogonal(np.vdot(psi1, psi2), OrthogonalEndpoints)
     return psi1, psi2 * np.exp(-1j * np.angle(ip))
 
 
@@ -116,11 +112,7 @@ def polygon_lift(rhos, per_arc=2000):
     pieces = []
     current = lifts[0]
     for nxt in lifts[1:] + [lifts[0]]:
-        ip = np.vdot(current, nxt)
-        if abs(ip) ** 2 <= EPS_ORTH:
-            raise OrthogonalEndpoints(
-                f"transition probability {abs(ip)**2:.3e} below cutoff"
-            )
+        ip = states.nonorthogonal(np.vdot(current, nxt), OrthogonalEndpoints)
         ahead = nxt * np.exp(-1j * np.angle(ip))
         g = _geodesic_from_in_phase(current, ahead)
         s = np.linspace(0.0, g.length, per_arc)
@@ -201,10 +193,8 @@ def constant_hamiltonian(n1, n2):
     and evolving for parameter time alpha lands exactly on n2.  The
     expectation Tr(rho(s) H) vanishes along the whole flow.
     """
-    n1 = states.assert_on_O(n1)
-    n2 = states.assert_on_O(n2)
-    overlap = np.clip((1.0 + 2.0 * (n1 @ n2)) / 3.0, 0.0, 1.0)
-    if overlap <= EPS_ORTH:
+    overlap = states.overlap(n1, n2)
+    if overlap <= states.EPS_ORTH:
         raise OrthogonalEndpoints(f"transition probability {overlap:.3e} below cutoff")
     if 1.0 - overlap < COINCIDENT_TOL:
         raise CoincidentEndpoints("endpoints coincide; direction is undefined")
@@ -214,10 +204,7 @@ def constant_hamiltonian(n1, n2):
 
 def geodesic_angle(n1, n2):
     """Opening angle alpha in (0, pi/2) between two nonorthogonal points of O."""
-    n1 = states.assert_on_O(n1)
-    n2 = states.assert_on_O(n2)
-    overlap = np.clip((1.0 + 2.0 * (n1 @ n2)) / 3.0, 0.0, 1.0)
-    return float(np.arccos(np.sqrt(overlap)))
+    return float(np.arccos(np.sqrt(states.overlap(n1, n2))))
 
 
 def geodesic_hamiltonian_family(s, a, b, c, d):

@@ -48,7 +48,6 @@ from .errors import (
     OutOfRange,
     TooFewSamples,
 )
-from .geodesics import EPS_ORTH
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,14 @@ class PhaseResult:
         return self.value
 
 
+def _closed_at_pi(angle):
+    # arctan2 and angle return values in [-pi, pi]; the branch owns +pi only
+    return np.pi if angle == -np.pi else angle
+
+
 def principal_branch(angle):
     """Reduce an angle to (-pi, pi]."""
-    return float(np.arctan2(np.sin(angle), np.cos(angle)))
+    return _closed_at_pi(float(np.arctan2(np.sin(angle), np.cos(angle))))
 
 
 def phase_distance(a, b):
@@ -76,10 +80,8 @@ def total_phase(psi1, psi2):
     """Relative phase arg(psi1, psi2) of two nonorthogonal states."""
     a = states.assert_normalized(psi1)
     b = states.assert_normalized(psi2)
-    ip = np.vdot(a, b)
-    if abs(ip) ** 2 <= EPS_ORTH:
-        raise OrthogonalStates(f"transition probability {abs(ip)**2:.3e} below cutoff")
-    return PhaseResult(float(np.angle(ip)), "total")
+    ip = states.nonorthogonal(np.vdot(a, b), OrthogonalStates)
+    return PhaseResult(_closed_at_pi(float(np.angle(ip))), "total")
 
 
 def _dynamical_piece(s, psis):
@@ -133,13 +135,8 @@ def bargmann_phase(psis):
         raise TooFewSamples("a polygon needs at least three vertices")
     product = 1.0 + 0j
     for a, b in zip(vecs, vecs[1:] + [vecs[0]]):
-        ip = np.vdot(a, b)
-        if abs(ip) ** 2 <= EPS_ORTH:
-            raise OrthogonalConsecutive(
-                f"transition probability {abs(ip)**2:.3e} below cutoff"
-            )
-        product *= ip
-    return PhaseResult(float(-np.angle(product)), "bargmann")
+        product *= states.nonorthogonal(np.vdot(a, b), OrthogonalConsecutive)
+    return PhaseResult(_closed_at_pi(float(-np.angle(product))), "bargmann")
 
 
 @dataclass(frozen=True)
@@ -195,9 +192,8 @@ def canonicalize_triangle(rho1, rho2, rho3):
     ip12 = np.vdot(lifts[0], lifts[1])
     ip23 = np.vdot(lifts[1], lifts[2])
     ip31 = np.vdot(lifts[2], lifts[0])
-    for label, ip in (("1-2", ip12), ("2-3", ip23), ("3-1", ip31)):
-        if abs(ip) ** 2 <= EPS_ORTH:
-            raise OrthogonalPair(f"vertices {label} are orthogonal within cutoff")
+    for ip in (ip12, ip23, ip31):
+        states.nonorthogonal(ip, OrthogonalPair)
     xi = float(np.arccos(np.clip(abs(ip12), 0.0, 1.0)))
     eta = float(np.arccos(np.clip(abs(ip31), 0.0, 1.0)))
     if xi < 1e-8 or eta < 1e-8:
@@ -219,9 +215,8 @@ def pancharatnam_phase(params):
     z = np.cos(t.xi) * np.cos(t.eta) + np.sin(t.xi) * np.sin(t.eta) * np.sin(
         t.zeta
     ) * (np.cos(t.chi2) - 1j * np.sin(t.chi2))
-    if abs(z) ** 2 <= EPS_ORTH:
-        raise OrthogonalPair("vertices 2-3 are orthogonal; phase undefined")
-    return PhaseResult(float(np.angle(z)), "closed-form")
+    states.nonorthogonal(z, OrthogonalPair)
+    return PhaseResult(_closed_at_pi(float(np.angle(z))), "closed-form")
 
 
 def wedge_star_phase_terms(n1, n2, n3):
@@ -244,10 +239,8 @@ def wedge_star_phase_terms(n1, n2, n3):
 def pancharatnam_phase_from_n(n1, n2, n3):
     """Triangle phase -arg Tr(rho1 rho2 rho3) from eight-vectors alone."""
     rhos = [states.density_from_n(states.assert_on_O(n)) for n in (n1, n2, n3)]
-    trace = np.trace(rhos[0] @ rhos[1] @ rhos[2])
-    if abs(trace) ** 2 <= EPS_ORTH:
-        raise OrthogonalPair("a vertex pair is orthogonal within cutoff")
-    return PhaseResult(float(-np.angle(trace)), "n-vector")
+    trace = states.nonorthogonal(np.trace(rhos[0] @ rhos[1] @ rhos[2]), OrthogonalPair)
+    return PhaseResult(_closed_at_pi(float(-np.angle(trace))), "n-vector")
 
 
 def _fill_undefined(values, defined):

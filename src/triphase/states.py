@@ -33,6 +33,8 @@ NORM_TOL = 1e-12
 PURITY_TOL = 1e-8
 COMPONENT_TOL = 1e-12
 CHART_TOL = 1e-10
+# Orthogonality cutoff on the transition probability Tr(rho1 rho2).
+EPS_ORTH = 1e-10
 
 # Eight-vectors of the three basis states, rows in order.
 POLES = np.zeros((3, 8))
@@ -53,20 +55,20 @@ def as_state(psi):
 def assert_normalized(psi, tol=NORM_TOL):
     a = as_state(psi)
     defect = abs(np.vdot(a, a).real - 1.0)
-    if defect > tol:
+    if not (defect <= tol):
         raise NotNormalized(f"norm deviates from 1 by {defect:.3e}")
     return a
 
 
 def random_state(seed):
     """Haar-random normalized state for a seed (or an existing Generator)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = su3.as_generator(seed)
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return z / np.linalg.norm(z)
 
 
 def random_states(seed, count):
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = su3.as_generator(seed)
     z = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
@@ -111,7 +113,7 @@ def is_on_O(n, tol=1e-10):
 
 def assert_on_O(n, tol=PURITY_TOL):
     norm_defect, star_defect = pure_state_defect(n)
-    if norm_defect > tol or star_defect > tol:
+    if not (norm_defect <= tol and star_defect <= tol):
         raise NotOnO(
             f"norm defect {norm_defect:.3e}, star defect {star_defect:.3e} exceed {tol:.1e}"
         )
@@ -151,6 +153,15 @@ def overlap(n1, n2):
     n1 = assert_on_O(n1)
     n2 = assert_on_O(n2)
     return float(np.clip((1.0 + 2.0 * n1 @ n2) / 3.0, 0.0, 1.0))
+
+
+def nonorthogonal(amplitude, error):
+    """Return an overlap amplitude, or raise error when its transition
+    probability |amplitude|^2 is within the orthogonality cutoff."""
+    probability = abs(amplitude) ** 2
+    if probability <= EPS_ORTH:
+        raise error(f"transition probability {probability:.3e} below cutoff")
+    return amplitude
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,18 @@ def adjoint_of(matrix, tol=1e-12):
     return adj.real
 
 
+def as_generator(seed):
+    """A numpy Generator for a seed, or the Generator itself when given one."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def random_special_unitary(seed):
     """Haar-distributed SU(3) element for a seed (or an existing Generator).
 
     QR of a complex Gaussian matrix with the usual phase fix gives a Haar
     unitary; a final global phase brings the determinant to +1.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))

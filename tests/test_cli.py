@@ -141,6 +141,21 @@ def test_geodesic_errors(tmp_path):
     assert run_cli("geodesic", str(s1), str(unnorm)).returncode == 4
 
 
+def test_nan_component_exits_4(tmp_path):
+    nan_state = {"re": [float("nan"), 0.0, 1.0], "im": [0.0, 0.0, 0.0]}
+    tri = tmp_path / "tri.json"
+    lifts = canonical_triangle_file(tri)
+    rest = [states.state_to_json(p) for p in lifts[1:]]
+    tri.write_text(json.dumps([nan_state] + rest))
+    proc = run_cli("phase-bargmann", str(tri))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    s1, bad = tmp_path / "a.json", tmp_path / "nan.json"
+    write_state(s1, lifts[0])
+    bad.write_text(json.dumps(nan_state))
+    assert run_cli("geodesic", str(s1), str(bad)).returncode == 4
+
+
 def test_evolve_canonical(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)
@@ -191,6 +206,9 @@ def test_check_error_paths():
     assert run_cli("check", "--trials", "0").returncode == 2
     assert run_cli("check", "--trials", "2", "--tol", "nope=1").returncode == 2
     assert run_cli("check", "--trials", "2", "--tol", "algebra.tables").returncode == 2
+    # an interval bound has no single tolerance to override
+    interval = run_cli("check", "--trials", "1", "--tol", "evolution.convergence_order=1")
+    assert interval.returncode == 2
     forced = run_cli("check", "--trials", "2", "--tol", "algebra.tables=1e-20")
     assert forced.returncode == 1
     records = [json.loads(line) for line in forced.stdout.strip().split("\n")]

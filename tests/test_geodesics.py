@@ -41,6 +41,9 @@ def test_in_phase_lift_orthogonal():
     e2 = states.density_of(np.array([0.0, 1.0, 0.0], dtype=complex))
     with pytest.raises(OrthogonalEndpoints):
         geodesics.in_phase_lift(e1, e2)
+    e3 = states.density_of(np.array([0.0, 0.0, 1.0], dtype=complex))
+    with pytest.raises(OrthogonalEndpoints):
+        geodesics.polygon_lift([e1, e2, e3])
 
 
 def test_canonical_geodesic_frozen():

@@ -201,6 +201,24 @@ def test_n_vector_oracle_orthogonal():
         phases.pancharatnam_phase_from_n(
             states.POLES[0], states.POLES[1], states.POLES[2]
         )
+    with pytest.raises(OrthogonalPair):
+        phases.pancharatnam_phase(
+            phases.TriangleParams(np.pi / 4, np.pi / 4, np.pi / 2, np.pi)
+        )
+
+
+def test_branch_cut_at_chi2_pi():
+    # the closed form lands exactly on the cut here; the branch keeps +pi
+    assert phases.principal_branch(-np.pi) == np.pi
+    params = phases.TriangleParams(1.2, 1.2, np.pi / 2, np.pi)
+    lifts = phases.triangle_states(params)
+    assert phases.pancharatnam_phase(params).value == np.pi
+    assert phases.bargmann_phase(list(lifts)).value == np.pi
+    ns = [states.n_vector_of(p) for p in lifts]
+    assert phases.pancharatnam_phase_from_n(*ns).value == np.pi
+    for angle in (-3.0, -np.pi + 1e-12, np.pi, 2.5):
+        wrapped = np.arctan2(np.sin(angle), np.cos(angle))
+        assert phases.principal_branch(angle) == wrapped
 
 
 def test_line_integral_synthetic_loop():

@@ -122,6 +122,9 @@ def test_assert_on_O():
         states.assert_on_O(-n)
     with pytest.raises(NotOnO):
         states.assert_on_O(np.zeros(8))
+    n[3] = np.nan
+    with pytest.raises(NotOnO):
+        states.assert_on_O(n)
 
 
 def test_state_from_n_inverts():
@@ -136,6 +139,8 @@ def test_normalization_guard():
     with pytest.raises(NotNormalized):
         states.assert_normalized(np.array([1.0, 1.0, 0.0]))
     states.assert_normalized(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(NotNormalized):
+        states.assert_normalized(np.array([np.nan, 0.0, 1.0]))
 
 
 def test_octant_roundtrip():
