@@ -27,8 +27,17 @@ class _InputError(Exception):
     """Unreadable or malformed input file; carries the exit code 4."""
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
+# Work budget: the most points one geodesic run may sample.
+MAX_GEODESIC_SAMPLES = 10**6
+
+
+def _csv_rows(table):
+    """One CSV line per row of a float table, 17 significant digits each.
+
+    '%.17g' % v gives the same text as format(v, ".17g"), one row per call.
+    """
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
 
 
 def _render(obj):
@@ -40,7 +49,7 @@ def _render(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -126,6 +135,10 @@ def cmd_phase_bargmann(args):
 def cmd_geodesic(args):
     if args.samples < 2:
         raise OutOfRange(f"samples = {args.samples}, need at least 2")
+    if args.samples > MAX_GEODESIC_SAMPLES:
+        raise OutOfRange(
+            f"samples = {args.samples}, over the budget of {MAX_GEODESIC_SAMPLES}"
+        )
     psi1 = _load_state(args.state1)
     psi2 = _load_state(args.state2)
     curve = geodesics.geodesic_between(states.density_of(psi1), states.density_of(psi2))
@@ -144,8 +157,7 @@ def cmd_geodesic(args):
     else:
         summary.update(planar=None, affine_rank=None, span_rank=None)
     lines = ["s," + ",".join(f"n{k}" for k in range(1, 9))]
-    for s_val, row in zip(grid, ns):
-        lines.append(",".join([_fmt(s_val)] + [_fmt(v) for v in row]))
+    lines += _csv_rows(np.column_stack((grid, ns)))
     lines.append("# " + _render(summary))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -160,14 +172,13 @@ def cmd_evolve(args):
         header += [f"re{k}", f"im{k}"]
     header += [f"n{k}" for k in range(1, 9)]
     header += ["phi_p", "phi_dyn"]
-    lines = [",".join(header)]
-    for idx in range(len(trajectory.s)):
-        row = [trajectory.s[idx]]
-        for k in range(3):
-            row += [trajectory.psi[idx, k].real, trajectory.psi[idx, k].imag]
-        row += list(trajectory.n[idx])
-        row += [trajectory.phi_p[idx], trajectory.phi_dyn[idx]]
-        lines.append(",".join(_fmt(v) for v in row))
+    psi = trajectory.psi
+    # re1, im1, re2, im2, re3, im3
+    components = np.stack((psi.real, psi.imag), axis=2).reshape(len(psi), 6)
+    table = np.column_stack(
+        (trajectory.s, components, trajectory.n, trajectory.phi_p, trajectory.phi_dyn)
+    )
+    lines = [",".join(header)] + _csv_rows(table)
     summary = {
         "total_phase": phases.principal_branch(trajectory.phi_p[-1]),
         "dynamical_phase": trajectory.phi_dyn[-1],

@@ -11,7 +11,15 @@ Eight-vector picture: dn/ds = 2 h(s) ^ n        (no renormalization)
 Both run one fixed-step classical Runge-Kutta walk for the linear ODE
 dx/ds = c A(s) x, with c = -i and A = H in the state picture and c = 1,
 A = 2 F.h in the eight-vector picture; the step divides each segment
-duration exactly.
+duration exactly.  On a constant segment one RK4 step is the linear map
+x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h c A.  The
+walk forms this step matrix once per segment and reaches every step's
+state through powers of P taken by repeated squaring, with no loop over
+steps; only parameter-dependent segments step stage by stage.  Every step
+is linear, so P (x/|x|) points the same way as P x, and the state picture
+renormalizes a segment's states, and takes its dynamical-phase
+trapezoids, in one pass after the segment.  A schedule may take at most
+MAX_STEPS steps in total.
 """
 
 from __future__ import annotations
@@ -43,48 +51,100 @@ class Schedule:
         return float(sum(duration for _, duration in self.segments))
 
 
-def _check_step(step):
+MAX_STEPS = 10**6
+"""Work budget: the most RK4 steps one schedule may take at a given step."""
+
+
+def _step_counts(schedule, step):
+    """Steps per segment, each dividing its segment's duration exactly.
+
+    Raises InvalidStep for a step that is not positive and finite, or one
+    whose steps over the whole schedule would exceed MAX_STEPS.
+    """
     if not (np.isfinite(step) and step > 0.0):
         raise InvalidStep(f"step {step!r} must be positive and finite")
+    # clamp before rounding, so a vanishing step cannot overflow the count
+    counts = [
+        max(1, round(min(duration / step, MAX_STEPS + 1)))
+        for _, duration in schedule.segments
+    ]
+    if sum(counts) > MAX_STEPS:
+        raise InvalidStep(
+            f"step {step!r} needs more than the budget of {MAX_STEPS} RK4 steps "
+            f"over a duration of {schedule.total_duration:.6g}"
+        )
+    return counts
 
 
-def _walk(x, schedule, step, operator, rate, begin=None, settle=None):
+def _rk4_increment(x, h, start, mid, end, rate):
+    k1 = rate(start, x)
+    k2 = rate(mid, x + 0.5 * h * k1)
+    k3 = rate(mid, x + 0.5 * h * k2)
+    k4 = rate(end, x + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _powers(increment, x, n_steps):
+    """Rows P x, P^2 x, ..., P^n x for the step matrix P = I + increment.
+
+    Each pass doubles the known rows with one squaring of P.  P is kept
+    as I + D and squared as D -> 2D + D D, so the small D never absorbs
+    the rounding of the identity and the error grows with the number of
+    squarings rather than with n.
+    """
+    rows = x[None]
+    growth = increment.T
+    while len(rows) <= n_steps:
+        head = rows[: n_steps + 1 - len(rows)]
+        rows = np.concatenate((rows, head + head @ growth))
+        growth = 2.0 * growth + growth @ growth
+    return rows[1:]
+
+
+def _walk(x, schedule, counts, operator, rate, settle=None):
     """Classical RK4 for dx/ds = rate(A, x) through a schedule.
 
-    operator maps a segment's HamiltonianCoeffs to A.  A constant segment
-    evaluates it once; a callable one at each step's middle and end, and
-    the end serves as the next step's start.  begin(x, A) runs at each
-    segment start; settle(x, h, A_end) maps each stepped x to the one
-    carried on.  Returns the sampled s and the list of x.
+    counts gives each segment's number of steps and operator maps a
+    segment's HamiltonianCoeffs to A.  A constant segment evaluates A once,
+    takes the step matrix P as one RK4 step of the identity, and produces
+    its rows P x, ..., P^n x by repeated squaring.  A callable segment steps
+    through its stages, evaluating A at each step's middle and end; the end
+    serves as the next step's start.  Once per segment,
+    settle(x, rows, h, start, ends) maps the segment's stepped rows to the
+    ones recorded and carried on, given the segment's first x, its starting
+    A and the stack of each step's end A; as every step is linear, it may
+    rescale rows freely.  Returns the sampled s and the stacked x.
     """
-    s_values = [0.0]
-    xs = [x]
+    s_values = [np.zeros(1)]
+    xs = [x[None]]
     s_global = 0.0
-    for hamiltonian, duration in schedule.segments:
+    for (hamiltonian, duration), n_steps in zip(schedule.segments, counts):
         varying = callable(hamiltonian)
-        start = mid = end = operator(hamiltonian(0.0) if varying else hamiltonian)
-        n_steps = max(1, round(duration / step))
+        start = operator(hamiltonian(0.0) if varying else hamiltonian)
         h = duration / n_steps
-        local = 0.0
-        if begin is not None:
-            begin(x, start)
-        for _ in range(n_steps):
-            if varying:
+        if varying:
+            rows, ends = [x], [start]
+            local = 0.0
+            for _ in range(n_steps):
                 mid = operator(hamiltonian(local + 0.5 * h))
                 end = operator(hamiltonian(local + h))
-            k1 = rate(start, x)
-            k2 = rate(mid, x + 0.5 * h * k1)
-            k3 = rate(mid, x + 0.5 * h * k2)
-            k4 = rate(end, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if settle is not None:
-                x = settle(x, h, end)
-            start = end
-            local += h
-            s_values.append(s_global + local)
-            xs.append(x)
+                y = rows[-1]
+                rows.append(y + _rk4_increment(y, h, ends[-1], mid, end, rate))
+                ends.append(end)
+                local += h
+            rows, ends = np.array(rows[1:]), np.array(ends[1:])
+        else:
+            increment = _rk4_increment(np.eye(len(x)), h, start, start, start, rate)
+            rows = _powers(increment, x, n_steps)
+            ends = np.broadcast_to(start, (n_steps,) + start.shape)
+        if settle is not None:
+            rows = settle(x, rows, h, start, ends)
+        x = rows[-1]
+        # cumsum adds in the order of a running local += h
+        s_values.append(s_global + np.cumsum(np.full(n_steps, h)))
+        xs.append(rows)
         s_global += duration
-    return np.array(s_values), xs
+    return np.concatenate(s_values), np.concatenate(xs)
 
 
 @dataclass(frozen=True)
@@ -109,35 +169,29 @@ def _schrodinger_rate(matrix, psi):
 
 def integrate_state(psi0, schedule, step=1e-3):
     """RK4-integrate i dpsi/ds = H psi through a schedule, recording phases."""
-    _check_step(step)
+    counts = _step_counts(schedule, step)
     psi = states.assert_normalized(psi0).astype(complex)
-    phi_dyn = [0.0]
-    energy = 0.0
+    phi_dyn = [np.zeros(1)]
 
-    def begin(psi, matrix):
-        nonlocal energy
-        energy = np.vdot(psi, matrix @ psi).real
-
-    def settle(psi, h, matrix):
-        # renormalize, then add one trapezoid of the dynamical phase -int <H> ds
-        nonlocal energy
-        psi = psi / np.linalg.norm(psi)
-        next_energy = np.vdot(psi, matrix @ psi).real
-        phi_dyn.append(phi_dyn[-1] - 0.5 * h * (energy + next_energy))
-        energy = next_energy
-        return psi
+    def settle(psi, rows, h, matrix, ends):
+        # renormalize, then add the trapezoids of the dynamical phase -int <H> ds
+        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+        energies = np.einsum("ki,kij,kj->k", rows.conj(), ends, rows).real
+        before = np.concatenate(([np.vdot(psi, matrix @ psi).real], energies[:-1]))
+        steps = np.concatenate((phi_dyn[-1][-1:], -0.5 * h * (before + energies)))
+        phi_dyn.append(np.cumsum(steps)[1:])
+        return rows
 
     s, psis = _walk(
-        psi, schedule, step, lambda c: c.matrix(), _schrodinger_rate, begin, settle
+        psi, schedule, counts, lambda c: c.matrix(), _schrodinger_rate, settle
     )
-    psis = np.array(psis)
     phi_p = np.angle(psis @ psis[0].conj())
     return Trajectory(
         s=s,
         n=states.n_vectors_of(psis),
         psi=psis,
         phi_p=phi_p,
-        phi_dyn=np.array(phi_dyn),
+        phi_dyn=np.concatenate(phi_dyn),
     )
 
 
@@ -148,9 +202,9 @@ def _adjoint_operator(coeffs):
 
 def integrate_nvector(n0, schedule, step=1e-3):
     """RK4-integrate dn/ds = 2 h ^ n through a schedule in the adjoint picture."""
-    _check_step(step)
-    s, ns = _walk(states.assert_on_O(n0), schedule, step, _adjoint_operator, np.matmul)
-    return Trajectory(s=s, n=np.array(ns))
+    counts = _step_counts(schedule, step)
+    s, ns = _walk(states.assert_on_O(n0), schedule, counts, _adjoint_operator, np.matmul)
+    return Trajectory(s=s, n=ns)
 
 
 def triangle_schedule(rho1, rho2, rho3):

@@ -240,3 +240,58 @@ def test_seventeen_digit_roundtrip():
 
     exact = phases.pancharatnam_phase(phases.TriangleParams(0.7, 1.1, 0.9, 4.0)).value
     assert record["phase"] == exact
+
+
+def test_work_budgets_exit_2_before_allocating(tmp_path, monkeypatch, capsys):
+    from triphase import cli, evolution, geodesics
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+
+    monkeypatch.setattr(evolution, "_walk", never)
+    monkeypatch.setattr(geodesics, "geodesic_between", never)
+    tri, s1 = tmp_path / "tri.json", tmp_path / "a.json"
+    lifts = canonical_triangle_file(tri)
+    write_state(s1, lifts[0])
+    for argv in (
+        ["evolve", str(tri), "--step", "1e-12"],
+        ["geodesic", str(s1), str(s1), "--samples", "1000000000000"],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget" in captured.err
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_csv_values_are_the_computed_doubles(tmp_path):
+    from triphase import cli, evolution, geodesics
+
+    tri, out = tmp_path / "tri.json", tmp_path / "out.csv"
+    lifts = canonical_triangle_file(tri)
+    assert cli.main(["evolve", str(tri), "--step", "0.01", "--out", str(out)]) == 0
+    rows = out.read_text().split("\n")[1:-2]
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+    rhos = [states.density_of(states.state_from_json(obj))
+            for obj in json.loads(tri.read_text())]
+    trajectory, _, _ = evolution.evolve_triangle(*rhos, step=0.01)
+    psi = trajectory.psi
+    expected = [trajectory.s]
+    for k in range(3):
+        expected += [psi[:, k].real, psi[:, k].imag]
+    expected += list(trajectory.n.T) + [trajectory.phi_p, trajectory.phi_dyn]
+    assert np.array_equal(parsed, np.column_stack(expected))
+
+    s1, s2 = tmp_path / "a.json", tmp_path / "b.json"
+    write_state(s1, lifts[0])
+    write_state(s2, lifts[1])
+    assert cli.main(["geodesic", str(s1), str(s2), "--samples", "7", "--out", str(out)]) == 0
+    parsed = np.array(
+        [[float(v) for v in row.split(",")] for row in out.read_text().split("\n")[1:-2]]
+    )
+    curve = geodesics.geodesic_between(rhos[0], rhos[1])
+    grid = np.linspace(0.0, curve.length, 7)
+    assert np.array_equal(parsed, np.column_stack((grid, states.n_vectors_of(curve(grid)))))

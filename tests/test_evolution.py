@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triphase import evolution, geodesics, phases, states
+from triphase import evolution, geodesics, phases, states, su3
 from triphase.errors import InvalidStep, OutOfRange
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -40,6 +40,26 @@ def test_step_validation():
     for bad in (0.0, -1e-3, np.inf, np.nan):
         with pytest.raises(InvalidStep):
             evolution.integrate_state(E3, schedule, bad)
+
+
+def test_step_budget(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the walk started before the budget was checked")
+
+    monkeypatch.setattr(evolution, "_walk", never)
+    _, schedule = canonical_schedule(0.5)
+    # a subnormal step would overflow an unclamped step count
+    for tiny in (0.5 / (evolution.MAX_STEPS + 1), 1e-12, 5e-324):
+        with pytest.raises(InvalidStep, match="budget"):
+            evolution.integrate_state(E3, schedule, tiny)
+        with pytest.raises(InvalidStep, match="budget"):
+            evolution.integrate_nvector(states.n_vector_of(E3), schedule, tiny)
+
+
+def test_step_budget_allows_its_limit():
+    _, schedule = canonical_schedule(0.5)
+    counts = evolution._step_counts(schedule, 0.5 / evolution.MAX_STEPS)
+    assert counts == [evolution.MAX_STEPS]
 
 
 def test_lambda3_phases():
@@ -203,3 +223,86 @@ def test_degenerate_triangle_zero_phase():
     _, geometric, closure = evolution.evolve_triangle(*rhos, step=1e-3)
     assert abs(geometric.value) < 1e-8
     assert closure < 1e-9
+
+
+def stage_reference(x, schedule, step, state_picture):
+    """Per-step classical RK4 in stage form, renormalizing and taking one
+    dynamical-phase trapezoid per step in the state picture."""
+
+    def operator(coeffs):
+        if state_picture:
+            return coeffs.matrix()
+        return 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)
+
+    def rate(matrix, y):
+        return -1j * (matrix @ y) if state_picture else matrix @ y
+
+    s_values, xs, phi_dyn = [0.0], [x], [0.0]
+    s_global = 0.0
+    for hamiltonian, duration in schedule.segments:
+        varying = callable(hamiltonian)
+        start = mid = end = operator(hamiltonian(0.0) if varying else hamiltonian)
+        n_steps = max(1, round(duration / step))
+        h = duration / n_steps
+        local = 0.0
+        energy = np.vdot(x, start @ x).real
+        for _ in range(n_steps):
+            if varying:
+                mid = operator(hamiltonian(local + 0.5 * h))
+                end = operator(hamiltonian(local + h))
+            k1 = rate(start, x)
+            k2 = rate(mid, x + 0.5 * h * k1)
+            k3 = rate(mid, x + 0.5 * h * k2)
+            k4 = rate(end, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if state_picture:
+                x = x / np.linalg.norm(x)
+                next_energy = np.vdot(x, end @ x).real
+                phi_dyn.append(phi_dyn[-1] - 0.5 * h * (energy + next_energy))
+                energy = next_energy
+            start = end
+            local += h
+            s_values.append(s_global + local)
+            xs.append(x)
+        s_global += duration
+    return np.array(s_values), np.array(xs), np.array(phi_dyn)
+
+
+def assert_matches_stage_reference(schedule, step, psi0):
+    by_state = evolution.integrate_state(psi0, schedule, step)
+    s, psis, phi_dyn = stage_reference(psi0, schedule, step, True)
+    assert np.array_equal(by_state.s, s)
+    assert np.abs(by_state.psi - psis).max() < 1e-12
+    assert np.abs(by_state.n - states.n_vectors_of(psis)).max() < 1e-12
+    assert np.abs(by_state.phi_dyn - phi_dyn).max() < 1e-12
+    n0 = states.n_vector_of(psi0)
+    by_vector = evolution.integrate_nvector(n0, schedule, step)
+    s, ns, _ = stage_reference(n0, schedule, step, False)
+    assert np.array_equal(by_vector.s, s)
+    assert np.abs(by_vector.n - ns).max() < 1e-12
+
+
+def test_step_matrix_matches_stage_form():
+    rng = np.random.default_rng(4)
+    for step in (1e-3, 7e-3):
+        for _ in range(3):
+            segments = tuple(
+                (
+                    geodesics.HamiltonianCoeffs(
+                        float(rng.standard_normal()), rng.standard_normal(8) * 0.5
+                    ),
+                    float(rng.uniform(0.2, 1.5)),
+                )
+                for _ in range(3)
+            )
+            schedule = evolution.Schedule(segments)
+            assert_matches_stage_reference(schedule, step, states.random_state(rng))
+
+
+def test_mixed_schedule_matches_stage_form():
+    def family(s):
+        return geodesics.geodesic_hamiltonian_family(s, 0.8, -0.3, 0.5, 1.2)
+
+    constant = geodesics.HamiltonianCoeffs(0.3, np.linspace(-1.0, 1.0, 8) * 0.4)
+    schedule = evolution.Schedule(((family, 0.7), (constant, 0.45), (family, 0.3)))
+    assert_matches_stage_reference(schedule, 1e-3, states.random_state(5))
