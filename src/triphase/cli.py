@@ -13,6 +13,7 @@ overlap, 4 unreadable or malformed input file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from itertools import combinations
@@ -27,8 +28,13 @@ class _InputError(Exception):
     """Unreadable or malformed input file; carries the exit code 4."""
 
 
-# Work budget: the most points one geodesic run may sample.
+# Work budgets: the most points one geodesic run may sample, and the most
+# trials one check run may sweep.
 MAX_GEODESIC_SAMPLES = 10**6
+MAX_CHECK_TRIALS = 10**4
+
+# Rows of a CSV table formatted and written at a time, bounding memory.
+_CSV_BLOCK_ROWS = 4096
 
 
 def _csv_rows(table):
@@ -59,12 +65,20 @@ def _render(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out, columns=(), tail=""):
+    """Write text, then the columns as CSV rows, then tail, to out or stdout.
+
+    columns are arrays of equal length, each 1-D or 2-D, laid side by side
+    into rows; they are stacked, formatted and written _CSV_BLOCK_ROWS rows
+    at a time, so no copy of the whole table or its text is ever built.
+    """
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+        handle.write(text)
+        length = len(columns[0]) if columns else 0
+        for first in range(0, length, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[first : first + _CSV_BLOCK_ROWS] for c in columns])
+            handle.write("\n".join(_csv_rows(block)) + "\n")
+        handle.write(tail)
 
 
 def _load_json(path):
@@ -156,10 +170,8 @@ def cmd_geodesic(args):
         )
     else:
         summary.update(planar=None, affine_rank=None, span_rank=None)
-    lines = ["s," + ",".join(f"n{k}" for k in range(1, 9))]
-    lines += _csv_rows(np.column_stack((grid, ns)))
-    lines.append("# " + _render(summary))
-    _emit("\n".join(lines) + "\n", args.out)
+    header = "s," + ",".join(f"n{k}" for k in range(1, 9))
+    _emit(header + "\n", args.out, (grid, ns), "# " + _render(summary) + "\n")
     return 0
 
 
@@ -172,13 +184,9 @@ def cmd_evolve(args):
         header += [f"re{k}", f"im{k}"]
     header += [f"n{k}" for k in range(1, 9)]
     header += ["phi_p", "phi_dyn"]
-    psi = trajectory.psi
-    # re1, im1, re2, im2, re3, im3
-    components = np.stack((psi.real, psi.imag), axis=2).reshape(len(psi), 6)
-    table = np.column_stack(
-        (trajectory.s, components, trajectory.n, trajectory.phi_p, trajectory.phi_dyn)
-    )
-    lines = [",".join(header)] + _csv_rows(table)
+    # re1, im1, re2, im2, re3, im3: a complex row viewed as its doubles
+    components = np.ascontiguousarray(trajectory.psi).view(float)
+    columns = (trajectory.s, components, trajectory.n, trajectory.phi_p, trajectory.phi_dyn)
     summary = {
         "total_phase": phases.principal_branch(trajectory.phi_p[-1]),
         "dynamical_phase": trajectory.phi_dyn[-1],
@@ -186,8 +194,7 @@ def cmd_evolve(args):
         "closure_defect": closure,
         "step": args.step,
     }
-    lines.append("# " + _render(summary))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(",".join(header) + "\n", args.out, columns, "# " + _render(summary) + "\n")
     return 0
 
 
@@ -207,6 +214,8 @@ def _parse_overrides(pairs):
 def cmd_check(args):
     if args.trials < 1:
         raise OutOfRange(f"trials = {args.trials}, need at least 1")
+    if args.trials > MAX_CHECK_TRIALS:
+        raise OutOfRange(f"trials = {args.trials}, over the budget of {MAX_CHECK_TRIALS}")
     overrides = _parse_overrides(args.tol)
     try:
         report = checks.run_all(seed=args.seed, trials=args.trials, overrides=overrides)

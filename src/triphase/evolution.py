@@ -1,9 +1,10 @@
 """Classical RK4 evolution in the state and eight-vector pictures.
 
 A schedule is a sequence of (hamiltonian, duration) segments.  Each
-hamiltonian entry is either a HamiltonianCoeffs or a callable mapping
-the parameter (measured from the segment start) to one, which keeps the
-integrator usable for the parameter-dependent geodesic family.
+hamiltonian entry is either a HamiltonianCoeffs or a callable mapping a
+1-D array of k parameters (measured from the segment start) to one
+HamiltonianCoeffs stack, h0 of shape (k,) and h of shape (k, 8), which
+keeps the integrator usable for the parameter-dependent geodesic family.
 
 State picture:        i dpsi/ds = H(s) psi      (renormalized each step)
 Eight-vector picture: dn/ds = 2 h(s) ^ n        (no renormalization)
@@ -15,11 +16,14 @@ duration exactly.  On a constant segment one RK4 step is the linear map
 x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h c A.  The
 walk forms this step matrix once per segment and reaches every step's
 state through powers of P taken by repeated squaring, with no loop over
-steps; only parameter-dependent segments step stage by stage.  Every step
-is linear, so P (x/|x|) points the same way as P x, and the state picture
-renormalizes a segment's states, and takes its dynamical-phase
-trapezoids, in one pass after the segment.  A schedule may take at most
-MAX_STEPS steps in total.
+steps.  A parameter-dependent segment runs in blocks of steps: one call
+of its callable gives every stage Hamiltonian of a block, one batched RK4
+step of the identity gives each step's own matrix P_k, and a prefix scan
+gives the products P_k ... P_1, again with no loop over steps.  Every
+step is linear, so P (x/|x|) points the same way as P x, and the state
+picture renormalizes the states of a segment or block, and takes their
+dynamical-phase trapezoids, in one pass after it.  A schedule may take at
+most MAX_STEPS steps in total.
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ from .phases import PhaseResult, principal_branch
 
 @dataclass(frozen=True)
 class Schedule:
-    """Piecewise evolution plan: tuple of (hamiltonian, duration) segments."""
+    """Piecewise evolution plan: tuple of (hamiltonian, duration) segments.
+
+    A hamiltonian is a HamiltonianCoeffs, constant over its segment, or a
+    callable that maps a 1-D array of k parameters, measured from the
+    segment start, to one HamiltonianCoeffs with h0 of shape (k,) and h of
+    shape (k, 8), as geodesics.geodesic_hamiltonian_family does.
+    """
 
     segments: tuple
 
@@ -101,50 +111,81 @@ def _powers(increment, x, n_steps):
     return rows[1:]
 
 
-def _walk(x, schedule, counts, operator, rate, settle=None):
+def _chain(increments, x):
+    """Rows P_1 x, P_2 P_1 x, ..., P_k ... P_1 x for P_j = I + increments[j-1].
+
+    A log-depth prefix scan: the pass at offset m turns each entry from the
+    product of its last m factors into that of its last 2m.  Products stay
+    in increment form, (I + C)(I + C') = I + C + C' + C C', like _powers.
+    """
+    chain = increments
+    offset = 1
+    while offset < len(chain):
+        later, earlier = chain[offset:], chain[:-offset]
+        chain = np.concatenate((chain[:offset], later + earlier + later @ earlier))
+        offset *= 2
+    return x + chain @ x
+
+
+_BLOCK_STEPS = 1024
+"""Steps of a callable segment evaluated and chained together, bounding memory."""
+
+
+def _walk(x, schedule, counts, operator, rate, settle=lambda x, rows, *_: rows):
     """Classical RK4 for dx/ds = rate(A, x) through a schedule.
 
     counts gives each segment's number of steps and operator maps a
-    segment's HamiltonianCoeffs to A.  A constant segment evaluates A once,
-    takes the step matrix P as one RK4 step of the identity, and produces
-    its rows P x, ..., P^n x by repeated squaring.  A callable segment steps
-    through its stages, evaluating A at each step's middle and end; the end
-    serves as the next step's start.  Once per segment,
-    settle(x, rows, h, start, ends) maps the segment's stepped rows to the
-    ones recorded and carried on, given the segment's first x, its starting
-    A and the stack of each step's end A; as every step is linear, it may
-    rescale rows freely.  Returns the sampled s and the stacked x.
+    segment's HamiltonianCoeffs, or a stack of them, to A.  A constant
+    segment evaluates A once, takes the step matrix P as one RK4 step of
+    the identity, and produces its rows P x, ..., P^n x by repeated
+    squaring.  A callable segment runs in blocks of at most _BLOCK_STEPS
+    steps: each block calls the callable once, on its start and each
+    step's middle and end, takes every step's P_k - I from one batched RK4
+    step of the identity, and chains the rows P_k ... P_1 x by a prefix
+    scan.  Once per constant segment and per block,
+    settle(x, rows, h, start, ends) maps the stepped rows to the ones
+    recorded and carried on, given the first x, its A and the stack of each
+    step's end A; as every step is linear, it may rescale rows freely.
+    Returns the sampled s and the stacked x.  Settled rows go straight into
+    the preallocated result; beside it the walk holds only the rows of one
+    constant segment or the arrays of one callable block.
     """
-    s_values = [np.zeros(1)]
-    xs = [x[None]]
-    s_global = 0.0
+    s = np.zeros(1 + sum(counts))
+    xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
+    xs[0] = x
+    identity = np.eye(len(x))
+    done, s_global = 0, 0.0
+
+    def record(x, rows, h, start, ends):
+        # settle the rows into place and return the last one, carried on
+        nonlocal done
+        xs[done + 1 : done + 1 + len(rows)] = settle(x, rows, h, start, ends)
+        done += len(rows)
+        return xs[done]
+
     for (hamiltonian, duration), n_steps in zip(schedule.segments, counts):
-        varying = callable(hamiltonian)
-        start = operator(hamiltonian(0.0) if varying else hamiltonian)
         h = duration / n_steps
-        if varying:
-            rows, ends = [x], [start]
-            local = 0.0
-            for _ in range(n_steps):
-                mid = operator(hamiltonian(local + 0.5 * h))
-                end = operator(hamiltonian(local + h))
-                y = rows[-1]
-                rows.append(y + _rk4_increment(y, h, ends[-1], mid, end, rate))
-                ends.append(end)
-                local += h
-            rows, ends = np.array(rows[1:]), np.array(ends[1:])
-        else:
-            increment = _rk4_increment(np.eye(len(x)), h, start, start, start, rate)
-            rows = _powers(increment, x, n_steps)
-            ends = np.broadcast_to(start, (n_steps,) + start.shape)
-        if settle is not None:
-            rows = settle(x, rows, h, start, ends)
-        x = rows[-1]
         # cumsum adds in the order of a running local += h
-        s_values.append(s_global + np.cumsum(np.full(n_steps, h)))
-        xs.append(rows)
+        local = np.cumsum(np.full(n_steps, h))
+        s[done + 1 : done + 1 + n_steps] = s_global + local
+        if callable(hamiltonian):
+            bounds = np.concatenate(([0.0], local))
+            for first in range(0, n_steps, _BLOCK_STEPS):
+                edges = bounds[first : first + _BLOCK_STEPS + 1]
+                stages = np.empty(2 * len(edges) - 1)
+                stages[0::2] = edges
+                stages[1::2] = edges[:-1] + 0.5 * h
+                ops = operator(hamiltonian(stages))
+                starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
+                increments = _rk4_increment(identity, h, starts, mids, ends, rate)
+                x = record(x, _chain(increments, x), h, ops[0], ends)
+        else:
+            start = operator(hamiltonian)
+            increment = _rk4_increment(identity, h, start, start, start, rate)
+            ends = np.broadcast_to(start, (n_steps,) + start.shape)
+            x = record(x, _powers(increment, x, n_steps), h, start, ends)
         s_global += duration
-    return np.concatenate(s_values), np.concatenate(xs)
+    return s, xs
 
 
 @dataclass(frozen=True)
@@ -197,7 +238,7 @@ def integrate_state(psi0, schedule, step=1e-3):
 
 def _adjoint_operator(coeffs):
     # 2 h ^ n is linear in n; contract the antisymmetric table once
-    return 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)
+    return 2.0 * np.einsum("rst,...s->...rt", su3.F, coeffs.h)
 
 
 def integrate_nvector(n0, schedule, step=1e-3):

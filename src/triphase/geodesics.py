@@ -174,13 +174,19 @@ def planarity_test(points, rel_tol=1e-8):
 
 @dataclass(frozen=True)
 class HamiltonianCoeffs:
-    """Hamiltonian H = h0 I + h.l given by its identity and l coefficients."""
+    """Hamiltonian H = h0 I + h.l given by its identity and l coefficients.
+
+    A stack of k Hamiltonians has h0 of shape (k,) and h of shape (k, 8);
+    matrix() then returns the (k, 3, 3) stack, each entry bit-identical to
+    the matrix of that Hamiltonian alone.
+    """
 
     h0: float
     h: np.ndarray
 
     def matrix(self):
-        return self.h0 * np.eye(3) + np.einsum("r,rij->ij", self.h, su3.LAMBDA)
+        identity = np.multiply.outer(self.h0, np.eye(3))
+        return identity + np.einsum("...r,rij->...ij", self.h, su3.LAMBDA)
 
 
 def constant_hamiltonian(n1, n2):
@@ -214,10 +220,13 @@ def geodesic_hamiltonian_family(s, a, b, c, d):
     choice of the four real functions sampled here at parameter s.  The
     constant choice a = b = d = 0 reduces to
     ((2/sqrt(3)) I + sqrt(3) l_3 + l_8) c - l_7, and c = 0 leaves -l_7.
+    A scalar s gives h of shape (8,); an array of k parameters gives the
+    stack with h0 of shape (k,) and h of shape (k, 8), row for row the same
+    doubles as the scalar calls.
     """
     sin_s, cos_s = np.sin(s), np.cos(s)
-    h = np.array(
-        [
+    h = np.stack(
+        np.broadcast_arrays(
             a * cos_s,
             b * cos_s,
             su3.SQRT3 * c + d * (cos_s * cos_s - sin_s * sin_s),
@@ -226,6 +235,7 @@ def geodesic_hamiltonian_family(s, a, b, c, d):
             d * cos_s * sin_s,
             -1.0,
             c,
-        ]
+        ),
+        axis=-1,
     )
     return HamiltonianCoeffs((2.0 / su3.SQRT3) * c - d * sin_s * sin_s, h)

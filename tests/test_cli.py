@@ -267,6 +267,28 @@ def test_work_budgets_exit_2_before_allocating(tmp_path, monkeypatch, capsys):
         assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_check_trials_budget(monkeypatch, capsys):
+    from triphase import checks, cli
+
+    swept = []
+
+    def run_all(seed, trials, overrides):
+        swept.append(trials)
+        return {"results": [], "seed": seed, "trials": trials, "all_passed": True}
+
+    monkeypatch.setattr(checks, "run_all", run_all)
+    assert cli.main(["check", "--trials", str(cli.MAX_CHECK_TRIALS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+    assert swept == []
+    assert cli.main(["check", "--trials", str(cli.MAX_CHECK_TRIALS)]) == 0
+    assert swept == [cli.MAX_CHECK_TRIALS]
+    proc = run_cli("check", "--trials", "1000000000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_csv_values_are_the_computed_doubles(tmp_path):
     from triphase import cli, evolution, geodesics
 
@@ -295,3 +317,25 @@ def test_csv_values_are_the_computed_doubles(tmp_path):
     curve = geodesics.geodesic_between(rhos[0], rhos[1])
     grid = np.linspace(0.0, curve.length, 7)
     assert np.array_equal(parsed, np.column_stack((grid, states.n_vectors_of(curve(grid)))))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
+    from triphase import cli
+
+    tri, s1, s2 = tmp_path / "tri.json", tmp_path / "a.json", tmp_path / "b.json"
+    lifts = canonical_triangle_file(tri)
+    write_state(s1, lifts[0])
+    write_state(s2, lifts[1])
+    runs = (
+        ["evolve", str(tri), "--step", "0.01"],
+        ["geodesic", str(s1), str(s2), "--samples", "50"],
+    )
+    whole = []
+    for k, argv in enumerate(runs):
+        assert cli.main(argv + ["--out", str(tmp_path / f"whole{k}.csv")]) == 0
+        whole.append((tmp_path / f"whole{k}.csv").read_bytes())
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+    for k, argv in enumerate(runs):
+        assert cli.main(argv + ["--out", str(tmp_path / f"split{k}.csv")]) == 0
+        assert (tmp_path / f"split{k}.csv").read_bytes() == whole[k]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triphase import evolution, geodesics, phases, states, su3
 from triphase.errors import InvalidStep, OutOfRange
@@ -306,3 +308,90 @@ def test_mixed_schedule_matches_stage_form():
     constant = geodesics.HamiltonianCoeffs(0.3, np.linspace(-1.0, 1.0, 8) * 0.4)
     schedule = evolution.Schedule(((family, 0.7), (constant, 0.45), (family, 0.3)))
     assert_matches_stage_reference(schedule, 1e-3, states.random_state(5))
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    coefficients=st.tuples(unit, unit, unit, unit),
+    duration=st.floats(0.05, 1.5),
+    step=st.floats(1e-3, 2e-2),
+    one_step=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(coefficients=(0.8, -0.3, 0.5, 1.2), duration=0.05, step=1e-3, one_step=True, seed=0)
+@example(coefficients=(-1.0, 1.0, -1.0, 1.0), duration=1.5, step=1e-3, one_step=False, seed=1)
+def test_callable_path_matches_stage_form(coefficients, duration, step, one_step, seed):
+    # one_step takes the whole segment in a single step; 1.5 at 1e-3 spans two blocks
+    def family(s):
+        return geodesics.geodesic_hamiltonian_family(s, *coefficients)
+
+    schedule = evolution.Schedule(((family, duration),))
+    step = duration if one_step else step
+    assert_matches_stage_reference(schedule, step, states.random_state(seed))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_blocks_split_callable_segments(monkeypatch, block):
+    calls = []
+
+    def family(s):
+        calls.append(np.size(s))
+        return geodesics.geodesic_hamiltonian_family(s, -0.6, 0.9, 0.2, -0.4)
+
+    constant = geodesics.HamiltonianCoeffs(-0.2, np.linspace(1.0, -1.0, 8) * 0.3)
+    schedule = evolution.Schedule(((family, 0.35), (constant, 0.2), (family, 0.25)))
+    psi0 = states.random_state(6)
+    whole_state = evolution.integrate_state(psi0, schedule, 1e-3)
+    whole_vector = evolution.integrate_nvector(states.n_vector_of(psi0), schedule, 1e-3)
+    # each picture calls the family once per callable segment, on 2n + 1 stages
+    assert calls == [701, 501] * 2
+    calls.clear()
+    monkeypatch.setattr(evolution, "_BLOCK_STEPS", block)
+    split_state = evolution.integrate_state(psi0, schedule, 1e-3)
+    split_vector = evolution.integrate_nvector(states.n_vector_of(psi0), schedule, 1e-3)
+    assert len(calls) == 2 * (-(-350 // block) - (-250 // block))
+    assert all(n <= 2 * block + 1 for n in calls)
+    assert_matches_stage_reference(schedule, 1e-3, psi0)
+    assert np.array_equal(split_state.s, whole_state.s)
+    assert np.abs(split_state.psi - whole_state.psi).max() < 1e-12
+    assert np.abs(split_state.n - whole_state.n).max() < 1e-12
+    assert np.abs(split_state.phi_dyn - whole_state.phi_dyn).max() < 1e-12
+    assert np.array_equal(split_vector.s, whole_vector.s)
+    assert np.abs(split_vector.n - whole_vector.n).max() < 1e-12
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_stage_operators_broadcast_bit_for_bit():
+    rng = np.random.default_rng(9)
+    s = np.concatenate(([0.0, -0.0, np.pi / 2], rng.uniform(-3.0, 3.0, 38)))
+    a, b, c, d = rng.uniform(-1.0, 1.0, 4)
+    stacked = geodesics.geodesic_hamiltonian_family(s, a, b, c, d)
+    assert stacked.h0.shape == (41,) and stacked.h.shape == (41, 8)
+    matrices = stacked.matrix()
+    adjoints = evolution._adjoint_operator(stacked)
+    assert matrices.shape == (41, 3, 3) and adjoints.shape == (41, 8, 8)
+    for k, value in enumerate(s):
+        single = geodesics.geodesic_hamiltonian_family(value, a, b, c, d)
+        assert single.h.shape == (8,)
+        assert same_bits(single.h0, stacked.h0[k])
+        assert same_bits(single.h, stacked.h[k])
+        assert same_bits(single.matrix(), matrices[k])
+        assert same_bits(evolution._adjoint_operator(single), adjoints[k])
+
+
+def test_constant_operators_unchanged():
+    # constant segments keep the doubles of the scalar formulas
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        coeffs = geodesics.HamiltonianCoeffs(float(rng.standard_normal()), rng.standard_normal(8))
+        matrix = coeffs.h0 * np.eye(3) + np.einsum("r,rij->ij", coeffs.h, su3.LAMBDA)
+        assert same_bits(coeffs.matrix(), matrix)
+        adjoint = 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)
+        assert same_bits(evolution._adjoint_operator(coeffs), adjoint)
