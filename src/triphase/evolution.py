@@ -9,21 +9,24 @@ keeps the integrator usable for the parameter-dependent geodesic family.
 State picture:        i dpsi/ds = H(s) psi      (renormalized each step)
 Eight-vector picture: dn/ds = 2 h(s) ^ n        (no renormalization)
 
-Both run one fixed-step classical Runge-Kutta walk for the linear ODE
-dx/ds = c A(s) x, with c = -i and A = H in the state picture and c = 1,
-A = 2 F.h in the eight-vector picture; the step divides each segment
-duration exactly.  On a constant segment one RK4 step is the linear map
-x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h c A.  The
-walk forms this step matrix once per segment and reaches every step's
+Both run one fixed-step classical Runge-Kutta walk for the real linear ODE
+dx/ds = A(s) x; the step divides each segment duration exactly.  In the
+eight-vector picture x = n and A = 2 F.h.  In the state picture x is the
+real 6-vector psi.view(float) = (re0, im0, re1, im1, re2, im2) and A the
+real 6x6 form of -iH, whose 2x2 block (i, j) is
+[[Im H_ij, Re H_ij], [-Re H_ij, Im H_ij]]; the recorded psi is a complex
+view of the walked rows.  On a constant segment one RK4 step is the
+linear map x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h A.
+The walk forms this step matrix once per segment and reaches every step's
 state through powers of P taken by repeated squaring, with no loop over
 steps.  A parameter-dependent segment runs in blocks of steps: one call
 of its callable gives every stage Hamiltonian of a block, one batched RK4
 step of the identity gives each step's own matrix P_k, and a prefix scan
-gives the products P_k ... P_1, again with no loop over steps.  Every
-step is linear, so P (x/|x|) points the same way as P x, and the state
-picture renormalizes the states of a segment or block, and takes their
-dynamical-phase trapezoids, in one pass after it.  A schedule may take at
-most MAX_STEPS steps in total.
+over a tree of the steps gives the states P_k ... P_1 x, again with no
+loop over steps.  Every step is linear, so P (x/|x|) points the same way
+as P x, and the state picture renormalizes the states of a segment or
+block, and takes their dynamical-phase trapezoids, in one pass after it.
+A schedule may take at most MAX_STEPS steps in total.
 """
 
 from __future__ import annotations
@@ -86,12 +89,31 @@ def _step_counts(schedule, step):
     return counts
 
 
-def _rk4_increment(x, h, start, mid, end, rate):
-    k1 = rate(start, x)
-    k2 = rate(mid, x + 0.5 * h * k1)
-    k3 = rate(mid, x + 0.5 * h * k2)
-    k4 = rate(end, x + h * k3)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_increment(h, start, mid, end):
+    """P - I for one classical RK4 step of x' = A x, given A at the step's
+    start, middle and end (each may be a stack).
+
+    The stages are those of RK4 applied to the identity, k1 = A_start and
+    k_j = A (I + c k_{j-1}), summed as ((k1 + 2 k2) + 2 k3) + k4.
+    """
+    identity = np.eye(start.shape[-1])
+    # in place where it keeps the doubles, to spare temporaries of a block's size
+    scaled = start * (0.5 * h)
+    scaled += identity
+    stage = mid @ scaled
+    total = stage * 2.0
+    total += start
+    np.multiply(stage, 0.5 * h, out=scaled)
+    scaled += identity
+    np.matmul(mid, scaled, out=stage)
+    np.multiply(stage, h, out=scaled)
+    scaled += identity
+    stage *= 2.0
+    total += stage
+    np.matmul(end, scaled, out=stage)
+    total += stage
+    total *= h / 6.0
+    return total
 
 
 def _powers(increment, x, n_steps):
@@ -114,35 +136,48 @@ def _powers(increment, x, n_steps):
 def _chain(increments, x):
     """Rows P_1 x, P_2 P_1 x, ..., P_k ... P_1 x for P_j = I + increments[j-1].
 
-    A log-depth prefix scan: the pass at offset m turns each entry from the
-    product of its last m factors into that of its last 2m.  Products stay
-    in increment form, (I + C)(I + C') = I + C + C' + C C', like _powers.
+    A work-efficient scan over a binary tree of the steps.  The upward pass
+    multiplies sibling pairs into the product of each subtree, kept in
+    increment form, (I + C)(I + C') = I + C + C' + C C', like _powers; an
+    odd last subtree moves up unpaired.  The downward pass gives every
+    subtree the state it starts from: a left child that of its parent, a
+    right child that state moved on by its left sibling.  Each step then
+    applies its own P to the state it starts from.
     """
-    chain = increments
-    offset = 1
-    while offset < len(chain):
-        later, earlier = chain[offset:], chain[:-offset]
-        chain = np.concatenate((chain[:offset], later + earlier + later @ earlier))
-        offset *= 2
-    return x + chain @ x
+    levels = []
+    level = increments
+    while len(level) > 1:
+        levels.append(level)
+        earlier, later = level[0:-1:2], level[1::2]
+        paired = later + earlier
+        paired += later @ earlier
+        level = np.concatenate((paired, level[len(level) - len(level) % 2 :]))
+    firsts = x[None]
+    for level in reversed(levels):
+        lefts = firsts[: len(level) // 2]
+        below = np.empty((len(level), len(x)))
+        below[0::2] = firsts
+        below[1::2] = lefts + np.einsum("kij,kj->ki", level[0:-1:2], lefts)
+        firsts = below
+    return firsts + np.einsum("kij,kj->ki", increments, firsts)
 
 
 _BLOCK_STEPS = 1024
 """Steps of a callable segment evaluated and chained together, bounding memory."""
 
 
-def _walk(x, schedule, counts, operator, rate, settle=lambda x, rows, *_: rows):
-    """Classical RK4 for dx/ds = rate(A, x) through a schedule.
+def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
+    """Classical RK4 for the real linear ODE dx/ds = A x through a schedule.
 
     counts gives each segment's number of steps and operator maps a
-    segment's HamiltonianCoeffs, or a stack of them, to A.  A constant
-    segment evaluates A once, takes the step matrix P as one RK4 step of
-    the identity, and produces its rows P x, ..., P^n x by repeated
-    squaring.  A callable segment runs in blocks of at most _BLOCK_STEPS
-    steps: each block calls the callable once, on its start and each
-    step's middle and end, takes every step's P_k - I from one batched RK4
-    step of the identity, and chains the rows P_k ... P_1 x by a prefix
-    scan.  Once per constant segment and per block,
+    segment's HamiltonianCoeffs, or a stack of them, to the real matrix A.
+    A constant segment evaluates A once, takes the step matrix P as one
+    RK4 step of the identity, and produces its rows P x, ..., P^n x by
+    repeated squaring.  A callable segment runs in blocks of at most
+    _BLOCK_STEPS steps: each block calls the callable once, on its start
+    and each step's middle and end, takes every step's P_k - I from one
+    batched RK4 step of the identity, and chains the rows P_k ... P_1 x by
+    a prefix scan.  Once per constant segment and per block,
     settle(x, rows, h, start, ends) maps the stepped rows to the ones
     recorded and carried on, given the first x, its A and the stack of each
     step's end A; as every step is linear, it may rescale rows freely.
@@ -153,7 +188,6 @@ def _walk(x, schedule, counts, operator, rate, settle=lambda x, rows, *_: rows):
     s = np.zeros(1 + sum(counts))
     xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
     xs[0] = x
-    identity = np.eye(len(x))
     done, s_global = 0, 0.0
 
     def record(x, rows, h, start, ends):
@@ -177,11 +211,11 @@ def _walk(x, schedule, counts, operator, rate, settle=lambda x, rows, *_: rows):
                 stages[1::2] = edges[:-1] + 0.5 * h
                 ops = operator(hamiltonian(stages))
                 starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
-                increments = _rk4_increment(identity, h, starts, mids, ends, rate)
+                increments = _rk4_increment(h, starts, mids, ends)
                 x = record(x, _chain(increments, x), h, ops[0], ends)
         else:
             start = operator(hamiltonian)
-            increment = _rk4_increment(identity, h, start, start, start, rate)
+            increment = _rk4_increment(h, start, start, start)
             ends = np.broadcast_to(start, (n_steps,) + start.shape)
             x = record(x, _powers(increment, x, n_steps), h, start, ends)
         s_global += duration
@@ -193,8 +227,10 @@ class Trajectory:
     """Recorded samples of an integration run.
 
     State-picture runs fill every field; eight-vector runs leave psi,
-    phi_p and phi_dyn as None.  phi_p[k] is the accumulated total phase
-    arg(psi(0), psi(s_k)) and phi_dyn[k] the accumulated dynamical phase.
+    phi_p, phi_dyn and norm_drift as None.  phi_p[k] is the accumulated
+    total phase arg(psi(0), psi(s_k)) and phi_dyn[k] the accumulated
+    dynamical phase.  norm_drift is the largest |(|psi| - 1)| of a stepped
+    state before its renormalization.
     """
 
     s: np.ndarray
@@ -202,49 +238,66 @@ class Trajectory:
     psi: np.ndarray | None = None
     phi_p: np.ndarray | None = None
     phi_dyn: np.ndarray | None = None
+    norm_drift: float | None = None
 
 
-def _schrodinger_rate(matrix, psi):
-    return -1j * (matrix @ psi)
+def _state_generator(coeffs):
+    """Real 6x6 form of -iH acting on psi.view(float), or a stack of them."""
+    matrix = coeffs.matrix()
+    generator = np.empty(matrix.shape[:-2] + (3, 2, 3, 2))
+    generator[..., :, 0, :, 0] = matrix.imag
+    generator[..., :, 0, :, 1] = matrix.real
+    generator[..., :, 1, :, 0] = -matrix.real
+    generator[..., :, 1, :, 1] = matrix.imag
+    return generator.reshape(matrix.shape[:-2] + (6, 6))
+
+
+def _energies(x, generated):
+    # <H> = -Im(psi^dag (-iH) psi), given x and (-iH) psi in real form
+    psi, rate = x.view(complex), generated.view(complex)
+    return -np.einsum("...i,...i->...", psi.conj(), rate).imag
 
 
 def integrate_state(psi0, schedule, step=1e-3):
     """RK4-integrate i dpsi/ds = H psi through a schedule, recording phases."""
     counts = _step_counts(schedule, step)
     psi = states.assert_normalized(psi0).astype(complex)
-    phi_dyn = [np.zeros(1)]
+    phi_dyn, drift = [np.zeros(1)], [0.0]
 
-    def settle(psi, rows, h, matrix, ends):
+    def settle(x, rows, h, generator, ends):
         # renormalize, then add the trapezoids of the dynamical phase -int <H> ds
-        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-        energies = np.einsum("ki,kij,kj->k", rows.conj(), ends, rows).real
-        before = np.concatenate(([np.vdot(psi, matrix @ psi).real], energies[:-1]))
+        norms = np.linalg.norm(rows.view(complex), axis=1)
+        drift.append(np.abs(norms - 1.0).max())
+        rows /= norms[:, None]
+        energies = _energies(rows, np.einsum("kij,kj->ki", ends, rows))
+        before = np.concatenate(([_energies(x, generator @ x)], energies[:-1]))
         steps = np.concatenate((phi_dyn[-1][-1:], -0.5 * h * (before + energies)))
         phi_dyn.append(np.cumsum(steps)[1:])
         return rows
 
-    s, psis = _walk(
-        psi, schedule, counts, lambda c: c.matrix(), _schrodinger_rate, settle
-    )
-    phi_p = np.angle(psis @ psis[0].conj())
+    s, xs = _walk(psi.view(float), schedule, counts, _state_generator, settle)
+    psis = xs.view(complex)
     return Trajectory(
         s=s,
         n=states.n_vectors_of(psis),
         psi=psis,
-        phi_p=phi_p,
+        phi_p=np.angle(psis @ psis[0].conj()),
         phi_dyn=np.concatenate(phi_dyn),
+        norm_drift=float(max(drift)),
     )
 
 
 def _adjoint_operator(coeffs):
-    # 2 h ^ n is linear in n; contract the antisymmetric table once
-    return 2.0 * np.einsum("rst,...s->...rt", su3.F, coeffs.h)
+    # 2 h ^ n is linear in n; each entry of F.h has at most two terms
+    entries = su3.two_term_sum(coeffs.h, su3.F_TERMS)
+    entries *= 2.0
+    return entries.reshape(entries.shape[:-1] + (8, 8))
 
 
 def integrate_nvector(n0, schedule, step=1e-3):
     """RK4-integrate dn/ds = 2 h ^ n through a schedule in the adjoint picture."""
     counts = _step_counts(schedule, step)
-    s, ns = _walk(states.assert_on_O(n0), schedule, counts, _adjoint_operator, np.matmul)
+    s, ns = _walk(states.assert_on_O(n0), schedule, counts, _adjoint_operator)
     return Trajectory(s=s, n=ns)
 
 

@@ -178,15 +178,20 @@ class HamiltonianCoeffs:
 
     A stack of k Hamiltonians has h0 of shape (k,) and h of shape (k, 8);
     matrix() then returns the (k, 3, 3) stack, each entry bit-identical to
-    the matrix of that Hamiltonian alone.
+    the matrix of that Hamiltonian alone.  Every entry of h.l has at most
+    two terms, so matrix() gathers them (su3.two_term_sum) instead of
+    contracting h with LAMBDA, and gives the contraction's doubles,
+    h0 I + einsum('...r,rij->...ij', h, LAMBDA), signed zeros included.
     """
 
     h0: float
     h: np.ndarray
 
     def matrix(self):
-        identity = np.multiply.outer(self.h0, np.eye(3))
-        return identity + np.einsum("...r,rij->...ij", self.h, su3.LAMBDA)
+        parts = su3.two_term_sum(self.h, su3.LAMBDA_TERMS)
+        # the real parts of the diagonal, entries (i, i, 0), are every eighth
+        parts[..., ::8] += np.asarray(self.h0)[..., None]
+        return parts.view(complex).reshape(parts.shape[:-1] + (3, 3))
 
 
 def constant_hamiltonian(n1, n2):

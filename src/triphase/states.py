@@ -86,10 +86,24 @@ def n_vector_of(psi, tol=NORM_TOL):
     return n.real
 
 
+_ROW_BLOCK = 4096
+"""Rows of n_vectors_of evaluated together, bounding its temporaries."""
+
+
 def n_vectors_of(psis):
-    """Row-wise n_vector_of for an (N, 3) array of normalized states."""
+    """Row-wise n_vector_of for an (N, 3) array of normalized states.
+
+    The rows go through in blocks of _ROW_BLOCK into the preallocated
+    result, so the complex temporaries stay small; each row's doubles do
+    not depend on the block it falls in.
+    """
     a = np.asarray(psis, dtype=complex)
-    return (su3.SQRT3 / 2) * np.einsum("ki,rij,kj->kr", a.conj(), su3.LAMBDA, a).real
+    ns = np.empty((len(a), 8))
+    for first in range(0, len(a), _ROW_BLOCK):
+        block = a[first : first + _ROW_BLOCK]
+        products = np.einsum("ki,rij,kj->kr", block.conj(), su3.LAMBDA, block)
+        ns[first : first + _ROW_BLOCK] = (su3.SQRT3 / 2) * products.real
+    return ns
 
 
 def density_from_n(n):

@@ -15,6 +15,11 @@ Module-level constants:
 
 Both tables are generated from the independent nonzero components by
 explicit (anti)symmetrization, so every permutation is populated.
+``LAMBDA_TERMS``, ``F_TERMS``
+    Every entry of h.l and of F.h has at most two terms in h.  These hold
+    their indices and coefficients, derived from LAMBDA and F, so that
+    two_term_sum builds an operator stack by gathers, with the doubles of
+    the einsum over the table.
 """
 
 from __future__ import annotations
@@ -93,6 +98,47 @@ def _symmetrized(independent):
 
 F = _antisymmetrized(_F_INDEPENDENT)
 D = _symmetrized(_D_INDEPENDENT)
+
+
+def _two_term_form(table):
+    """Two-term form of an (8, m) table whose columns have at most two nonzero rows.
+
+    Returns the row and coefficient of every column's first term (a
+    coefficient of 0 for an all-zero column), then the columns with a
+    second term and that term's row and coefficient.
+    """
+    if np.count_nonzero(table, axis=0).max() > 2:
+        raise ValueError("a column has more than two nonzero terms")
+    index = np.argsort(table == 0, axis=0, kind="stable")[:2]
+    coeff = np.take_along_axis(table, index, axis=0)
+    pairs = np.flatnonzero(coeff[1])
+    return index[0], coeff[0], pairs, index[1, pairs], coeff[1, pairs]
+
+
+LAMBDA_TERMS = _two_term_form(
+    np.stack((LAMBDA.real, LAMBDA.imag), axis=-1).reshape(8, 18)
+)
+"""Two-term form of h.l: column (i, j, part) gives Re or Im of (h.l)_ij."""
+
+F_TERMS = _two_term_form(F.transpose(1, 0, 2).reshape(8, 64))
+"""Two-term form of F.h: column (r, t) gives F[r, s, t] h_s summed over s."""
+
+
+def two_term_sum(h, terms):
+    """Columns sum_s h_s T[s, m] of a table T given by its two-term form.
+
+    h may carry leading batch dimensions.  The doubles are those of the
+    einsum over T: its zero terms change no nonzero sum, a sum of two
+    products rounds the same in either order, and the final + 0.0 turns a
+    -0 into the +0 an einsum accumulator gives.
+    """
+    index, coeff, pairs, second_index, second_coeff = terms
+    h = np.asarray(h, dtype=float)
+    total = np.take(h, index, axis=-1)
+    total *= coeff
+    total[..., pairs] += np.take(h, second_index, axis=-1) * second_coeff
+    total += 0.0
+    return total
 
 
 def wedge(a, b):

@@ -310,6 +310,44 @@ def test_mixed_schedule_matches_stage_form():
     assert_matches_stage_reference(schedule, 1e-3, states.random_state(5))
 
 
+def test_state_picture_matches_extended_precision():
+    # the same RK4 map stepped in long double leaves the walk's own rounding
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    rng = np.random.default_rng(11)
+
+    def family(s):
+        return geodesics.geodesic_hamiltonian_family(s, 0.4, -0.9, 0.6, -0.2)
+
+    runs = []
+    for _ in range(2):
+        psis = random_triangle(rng)
+        rhos = [states.density_of(p) for p in psis]
+        runs.append((evolution.triangle_schedule(*rhos), 5e-3, psis[0]))
+    runs.append((evolution.Schedule(((family, 0.9),)), 1e-3, states.random_state(rng)))
+    for schedule, step, psi0 in runs:
+        trajectory = evolution.integrate_state(psi0, schedule, step)
+        _, reference, _ = stage_reference(
+            psi0.astype(np.clongdouble), schedule, step, True
+        )
+        assert np.abs(trajectory.psi - reference).max() < 2e-15
+
+
+def test_norm_drift_grows_with_step():
+    def family(s):
+        return geodesics.geodesic_hamiltonian_family(s, 0.8, -0.3, 0.5, 1.2)
+
+    constant = geodesics.HamiltonianCoeffs(0.3, np.linspace(-1.0, 1.0, 8) * 0.4)
+    schedule = evolution.Schedule(((family, 0.7), (constant, 0.45)))
+    psi0 = states.random_state(12)
+    fine, coarse = (
+        evolution.integrate_state(psi0, schedule, step).norm_drift for step in (1e-3, 5e-2)
+    )
+    assert 0.0 < fine < coarse
+    by_vector = evolution.integrate_nvector(states.n_vector_of(psi0), schedule, 1e-3)
+    assert by_vector.norm_drift is None
+
+
 unit = st.floats(-1.0, 1.0)
 
 
@@ -368,6 +406,23 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+# h0 and h with signed zeros, where a sum of zero terms must come out +0
+SIGNED_ZEROS = (
+    (0.0, np.zeros(8)),
+    (-0.0, np.zeros(8)),
+    (0.0, -np.zeros(8)),
+    (-0.0, -np.zeros(8)),
+    (1.5, np.array([-0.0, 0.7, -0.0, -1.2, 0.0, -0.0, 2.0, -0.0])),
+    (-0.0, np.array([0.3, -0.0, -0.4, 0.0, -0.0, 0.9, -0.0, -0.6])),
+)
+
+
+def einsum_operators(h0, h):
+    # the contractions the gathered operators must reproduce bit for bit
+    matrix = np.multiply.outer(h0, np.eye(3)) + np.einsum("...r,rij->...ij", h, su3.LAMBDA)
+    return matrix, 2.0 * np.einsum("rst,...s->...rt", su3.F, h)
+
+
 def test_stage_operators_broadcast_bit_for_bit():
     rng = np.random.default_rng(9)
     s = np.concatenate(([0.0, -0.0, np.pi / 2], rng.uniform(-3.0, 3.0, 38)))
@@ -384,13 +439,31 @@ def test_stage_operators_broadcast_bit_for_bit():
         assert same_bits(single.h, stacked.h[k])
         assert same_bits(single.matrix(), matrices[k])
         assert same_bits(evolution._adjoint_operator(single), adjoints[k])
+    for coeffs in (
+        stacked,
+        geodesics.HamiltonianCoeffs(
+            np.array([h0 for h0, _ in SIGNED_ZEROS]), np.stack([h for _, h in SIGNED_ZEROS])
+        ),
+        geodesics.geodesic_hamiltonian_family(s, -0.0, 0.0, -0.0, 0.0),
+    ):
+        matrix, adjoint = einsum_operators(coeffs.h0, coeffs.h)
+        assert same_bits(coeffs.matrix(), matrix)
+        assert same_bits(evolution._adjoint_operator(coeffs), adjoint)
+        for k in range(len(coeffs.h0)):
+            single = geodesics.HamiltonianCoeffs(coeffs.h0[k], coeffs.h[k])
+            assert same_bits(single.matrix(), matrix[k])
+            assert same_bits(evolution._adjoint_operator(single), adjoint[k])
 
 
 def test_constant_operators_unchanged():
     # constant segments keep the doubles of the scalar formulas
     rng = np.random.default_rng(10)
-    for _ in range(20):
-        coeffs = geodesics.HamiltonianCoeffs(float(rng.standard_normal()), rng.standard_normal(8))
+    cases = [
+        geodesics.HamiltonianCoeffs(float(rng.standard_normal()), rng.standard_normal(8))
+        for _ in range(20)
+    ]
+    cases += [geodesics.HamiltonianCoeffs(h0, h) for h0, h in SIGNED_ZEROS]
+    for coeffs in cases:
         matrix = coeffs.h0 * np.eye(3) + np.einsum("r,rij->ij", coeffs.h, su3.LAMBDA)
         assert same_bits(coeffs.matrix(), matrix)
         adjoint = 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)

@@ -32,6 +32,14 @@ def test_random_states_on_locus():
     assert np.abs(su3.star(ns, ns) - ns).max() < 1e-12
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_n_vectors_blocked_bit_for_bit(monkeypatch, block):
+    psis = states.random_states(2, 1000)
+    whole = (SQRT3 / 2) * np.einsum("ki,rij,kj->kr", psis.conj(), su3.LAMBDA, psis).real
+    monkeypatch.setattr(states, "_ROW_BLOCK", block)
+    assert states.n_vectors_of(psis).tobytes() == whole.tobytes()
+
+
 def test_antipode_off_locus():
     ns = states.n_vectors_of(states.random_states(1, 200))
     defect = np.abs(su3.star(-ns, -ns) + ns).max(axis=1)
