@@ -289,6 +289,20 @@ def test_check_trials_budget(monkeypatch, capsys):
     assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_check_rejects_negative_seed(monkeypatch, capsys):
+    from triphase import checks, cli
+
+    def never(**kwargs):
+        raise AssertionError("a sweep ran before the seed was checked")
+
+    monkeypatch.setattr(checks, "run_all", never)
+    assert cli.main(["check", "--seed", "-1", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_csv_values_are_the_computed_doubles(tmp_path):
     from triphase import cli, evolution, geodesics
 

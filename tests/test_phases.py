@@ -4,6 +4,8 @@ against each other; the frozen values pin the canonical triangle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from triphase import geodesics, phases, states, su3
 from triphase.errors import (
@@ -261,7 +263,17 @@ def test_triangle_line_integral_sweep():
         except ChartSingular:
             continue
         done += 1
-        assert phases.phase_distance(line, closed) < 1e-5
+        assert phases.phase_distance(line, closed) < 1e-7
+
+
+def test_triangle_line_integral_through_chart_edge_midpoint():
+    # the side psi2 -> psi3 crosses psi_3 = 0 exactly at its midpoint, which
+    # no sample of the nested grids may land on
+    params = phases.TriangleParams(1.2, 1.2, np.pi / 2, np.pi)
+    rhos = [states.density_of(p) for p in phases.triangle_states(params)]
+    line = phases.triangle_line_integral_phase(*rhos).value
+    closed = phases.pancharatnam_phase(params).value
+    assert phases.phase_distance(line, closed) < 1e-12
 
 
 def test_triangle_line_integral_singular():
@@ -273,6 +285,26 @@ def test_triangle_line_integral_singular():
     ]
     with pytest.raises(ChartSingular):
         phases.triangle_line_integral_phase(*singular)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_oracle_phases_in_range_and_agree(seed):
+    rng = np.random.default_rng(seed)
+    psis = random_triangle(rng)
+    rhos = [states.density_of(p) for p in psis]
+    try:
+        line = phases.triangle_line_integral_phase(*rhos).value
+    except ChartSingular:
+        assume(False)
+    values = [
+        phases.pancharatnam_phase(phases.canonicalize_triangle(*rhos)).value,
+        phases.bargmann_phase(list(psis)).value,
+        phases.pancharatnam_phase_from_n(*(states.n_vector_of(p) for p in psis)).value,
+        line,
+    ]
+    assert all(-np.pi < v <= np.pi for v in values)
+    assert max(phases.phase_distance(v, values[0]) for v in values) < 1e-6
 
 
 def test_two_level_reduction_octant():
