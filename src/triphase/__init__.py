@@ -58,7 +58,6 @@ from .phases import (
     canonicalize_triangle,
     dynamical_phase,
     geometric_phase_of_curve,
-    line_integral_phase,
     line_integral_phase_from_states,
     pancharatnam_phase,
     pancharatnam_phase_from_n,
@@ -79,15 +78,11 @@ from .states import (
     density_of,
     embedded_sphere_check,
     from_octant_coords,
-    is_on_O,
     lift_of_density,
     n_from_octant_coords,
     n_vector_of,
     n_vectors_of,
-    opoint_from_json,
-    opoint_to_json,
     overlap,
-    pure_state_defect,
     random_state,
     random_states,
     state_from_json,

@@ -205,9 +205,12 @@ def _parse_overrides(pairs):
         if not sep or not name:
             raise OutOfRange(f"tolerance override {pair!r} is not name=value")
         try:
-            overrides[name] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise OutOfRange(f"tolerance override {pair!r}: bad float") from exc
+        if not np.isfinite(number):
+            raise OutOfRange(f"tolerance override {pair!r} is not finite")
+        overrides[name] = number
     return overrides
 
 

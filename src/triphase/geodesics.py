@@ -40,7 +40,7 @@ class GeodesicCurve:
 
     def __post_init__(self):
         for name, v in (("psi0", self.psi0), ("tangent", self.tangent)):
-            if abs(np.vdot(v, v).real - 1.0) > 1e-12:
+            if abs(np.vdot(v, v).real - 1.0) > states.NORM_TOL:
                 raise ValueError(f"{name} is not normalized")
         if abs(np.vdot(self.psi0, self.tangent)) > 1e-12:
             raise ValueError("tangent is not orthogonal to psi0")

@@ -97,28 +97,14 @@ def dynamical_phase(s, psis):
     return PhaseResult(float(np.trapezoid(integrand, s)), "dynamical")
 
 
-def _as_pieces(curve, psis):
-    if psis is not None:
-        return [(curve, psis)]
-    pieces = list(curve)
-    for (_, left), (_, right) in zip(pieces, pieces[1:]):
-        if np.abs(np.asarray(left)[-1] - np.asarray(right)[0]).max() > 1e-8:
-            raise ValueError("lift is discontinuous across a piece junction")
-    return pieces
+def geometric_phase_of_curve(s, psis):
+    """Total minus dynamical phase of a smooth lift psis sampled at s.
 
-
-def geometric_phase_of_curve(curve, psis=None):
-    """Total minus dynamical phase of a continuous, piecewise-smooth lift.
-
-    Accepts either (s, psis) arrays for one smooth curve or a list of
-    such pairs whose junction lifts agree (as built by polygon_lift).
-    Geodesics give zero; closed geodesic polygons give the Bargmann phase.
+    Geodesics give zero.
     """
-    pieces = _as_pieces(curve, psis)
-    first = np.asarray(pieces[0][1])[0]
-    last = np.asarray(pieces[-1][1])[-1]
-    dyn = sum(dynamical_phase(s, p).value for s, p in pieces)
-    return PhaseResult(principal_branch(total_phase(first, last).value - dyn), "curve")
+    dyn = dynamical_phase(s, psis).value
+    psis = np.asarray(psis)
+    return PhaseResult(principal_branch(total_phase(psis[0], psis[-1]).value - dyn), "curve")
 
 
 def bargmann_phase(psis):
@@ -223,21 +209,27 @@ def wedge_star_phase_terms(n1, n2, n3):
     The triangle phase equals -atan2(numerator, denominator) with
 
         numerator   = 2 sqrt(3) n1 . (n2 ^ n3)
-        denominator = |n1 + n2 + n3|^2 + 2 n1 . (n2 * n3) - 2,
+        denominator = 1 + 2 (n1 . n2 + n2 . n3 + n3 . n1) + 2 n1 . (n2 * n3),
 
-    matching -arg Tr(rho1 rho2 rho3) branch for branch.
+    matching -arg Tr(rho1 rho2 rho3) branch for branch.  On O the
+    denominator also equals |n1 + n2 + n3|^2 + 2 n1 . (n2 * n3) - 2, but
+    that square runs up to 9 and loses digits near orthogonality.
     """
     n1, n2, n3 = (np.asarray(n, dtype=float) for n in (n1, n2, n3))
     numerator = 2.0 * su3.SQRT3 * n1 @ su3.wedge(n2, n3)
-    total = n1 + n2 + n3
-    denominator = total @ total + 2.0 * n1 @ su3.star(n2, n3) - 2.0
+    denominator = 1.0 + 2.0 * (n1 @ n2 + n2 @ n3 + n3 @ n1 + n1 @ su3.star(n2, n3))
     return float(numerator), float(denominator)
 
 
 def pancharatnam_phase_from_n(n1, n2, n3):
-    """Triangle phase -arg Tr(rho1 rho2 rho3) from eight-vectors alone."""
-    rhos = [states.density_from_n(states.assert_on_O(n)) for n in (n1, n2, n3)]
-    trace = states.nonorthogonal(np.trace(rhos[0] @ rhos[1] @ rhos[2]), OrthogonalPair)
+    """Triangle phase -arg Tr(rho1 rho2 rho3) from eight-vectors alone.
+
+    The phase is the wedge-star formula of wedge_star_phase_terms, since
+    Tr(rho1 rho2 rho3) = (denominator + i numerator) / 9; the trace meets
+    the same orthogonality cutoff as the other oracles.
+    """
+    num, den = wedge_star_phase_terms(*(states.assert_on_O(n) for n in (n1, n2, n3)))
+    trace = states.nonorthogonal(complex(den, num) / 9.0, OrthogonalPair)
     return PhaseResult(_closed_at_pi(float(-np.angle(trace))), "n-vector")
 
 
@@ -260,33 +252,6 @@ def _chart_line_integral(weight1, weight2, chi1, chi2):
     return float(total)
 
 
-def line_integral_phase(theta, phi, chi1, chi2):
-    """Loop integral of the chart one-form over sampled chart angles.
-
-    The four arrays sample a closed loop; chi entries may be NaN where
-    the angle is undefined (their weight vanishes there) and are carried
-    forward by nearest-branch continuation.  Increments are unwrapped to
-    the nearest branch, so consecutive samples must stay within pi.
-    """
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    chi1, chi2 = np.asarray(chi1, dtype=float), np.asarray(chi2, dtype=float)
-    count = len(theta)
-    if count < 3 or any(len(a) != count for a in (phi, chi1, chi2)):
-        raise TooFewSamples("need at least three samples of all four angles")
-    if abs(theta[0] - theta[-1]) > 1e-6 or abs(phi[0] - phi[-1]) > 1e-6:
-        raise NotClosed("first and last samples disagree in theta or phi")
-    st, cp, sp = np.sin(theta), np.cos(phi), np.sin(phi)
-    weight1 = st * st * cp * cp
-    weight2 = st * st * sp * sp
-    for chi, weight in ((chi1, weight1), (chi2, weight2)):
-        ends = abs(np.arctan2(np.sin(chi[0] - chi[-1]), np.cos(chi[0] - chi[-1])))
-        if np.isfinite(ends) and min(weight[0], weight[-1]) > 1e-12 and ends > 1e-6:
-            raise NotClosed("chart angles do not close up")
-    filled = [_fill_undefined(chi, np.isfinite(chi)) for chi in (chi1, chi2)]
-    value = _chart_line_integral(weight1, weight2, *filled)
-    return PhaseResult(principal_branch(value), "line-integral")
-
-
 def _chart_samples(psis):
     # guarded chart weights |psi_k|^2 and filled angles arg psi_k - arg psi_3
     psis = np.asarray(psis, dtype=complex)
@@ -296,11 +261,11 @@ def _chart_samples(psis):
     norms = squares.sum(axis=1)
     weights = squares / norms[:, None]
     closest = np.sqrt(weights[:, 2].min())
-    if closest <= 1e-10:
+    if closest <= states.CHART_TOL:
         raise ChartSingular(f"loop reaches |psi_3| = {closest:.3e}; chart breaks down")
     closure = abs(np.vdot(psis[0], psis[-1])) ** 2 / (norms[0] * norms[-1])
     if abs(closure - 1.0) > 1e-7:
-        raise NotClosed(f"endpoint transition probability {closure!r} is not 1")
+        raise NotClosed(f"endpoint transition probability {closure:.3e} is not 1")
     chi = np.angle(psis[:, :2] * psis[:, 2:].conj())
     filled = [_fill_undefined(c, w > 1e-24) for c, w in zip(chi.T, weights.T)]
     return weights[:, 0], weights[:, 1], *filled

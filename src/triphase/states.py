@@ -112,26 +112,17 @@ def density_from_n(n):
     return (np.eye(3) + su3.SQRT3 * np.einsum("r,rij->ij", n, su3.LAMBDA)) / 3.0
 
 
-def pure_state_defect(n):
-    """Return (norm defect, star defect) measuring distance from the locus O."""
+def assert_on_O(n, tol=PURITY_TOL):
+    """Return n as floats, or raise NotOnO when its norm or star defect
+    (|n.n - 1| and max |n * n - n|) exceeds tol."""
     n = np.asarray(n, dtype=float)
     norm_defect = abs(n @ n - 1.0)
     star_defect = np.abs(su3.star(n, n) - n).max()
-    return norm_defect, star_defect
-
-
-def is_on_O(n, tol=1e-10):
-    norm_defect, star_defect = pure_state_defect(n)
-    return norm_defect <= tol and star_defect <= tol
-
-
-def assert_on_O(n, tol=PURITY_TOL):
-    norm_defect, star_defect = pure_state_defect(n)
     if not (norm_defect <= tol and star_defect <= tol):
         raise NotOnO(
             f"norm defect {norm_defect:.3e}, star defect {star_defect:.3e} exceed {tol:.1e}"
         )
-    return np.asarray(n, dtype=float)
+    return n
 
 
 def lift_of_density(rho, tol=PURITY_TOL):
@@ -290,15 +281,3 @@ def state_from_json(obj):
     if len(re) != 3 or len(im) != 3:
         raise ValueError("'re' and 'im' must each hold three numbers")
     return np.array([float(a) + 1j * float(b) for a, b in zip(re, im)])
-
-
-def opoint_to_json(n):
-    return {"n": [float(x) for x in np.asarray(n, dtype=float)]}
-
-
-def opoint_from_json(obj):
-    if not isinstance(obj, dict) or set(obj) != {"n"}:
-        raise ValueError("eight-vector object must have exactly the key 'n'")
-    if len(obj["n"]) != 8:
-        raise ValueError("'n' must hold eight numbers")
-    return np.array([float(x) for x in obj["n"]])

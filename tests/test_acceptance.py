@@ -8,7 +8,7 @@ numbers.
 
 import numpy as np
 
-from triphase import evolution, geodesics, phases, states, su3
+from triphase import checks, evolution, geodesics, phases, states, su3
 
 SQRT3 = np.sqrt(3.0)
 
@@ -20,21 +20,6 @@ def report(num, label, ok, detail):
 
 def rng_for(seed, trial):
     return np.random.default_rng([seed, trial])
-
-
-def nonorthogonal_pair(rng):
-    while True:
-        pair = states.random_states(rng, 2)
-        if abs(np.vdot(pair[0], pair[1])) ** 2 > 1e-3:
-            return pair
-
-
-def nonorthogonal_triangle(rng):
-    while True:
-        psis = states.random_states(rng, 3)
-        ips = [abs(np.vdot(psis[i], psis[(i + 1) % 3])) ** 2 for i in range(3)]
-        if min(ips) > 1e-3:
-            return psis
 
 
 def test_criterion_01_algebra_tables():
@@ -109,7 +94,7 @@ def test_criterion_05_geodesic_zero_phase():
     worst = 0.0
     for k in range(100):
         rng = rng_for(500, k)
-        pair = nonorthogonal_pair(rng)
+        pair = checks._nonorthogonal_states(rng, 2)
         curve = geodesics.geodesic_between(
             states.density_of(pair[0]), states.density_of(pair[1])
         )
@@ -127,7 +112,7 @@ def test_criterion_06_planarity_not_great_circle():
     failures = 0
     for k in range(100):
         rng = rng_for(600, k)
-        pair = nonorthogonal_pair(rng)
+        pair = checks._nonorthogonal_states(rng, 2)
         curve = geodesics.geodesic_between(
             states.density_of(pair[0]), states.density_of(pair[1])
         )
@@ -152,7 +137,7 @@ def test_criterion_07_oracle_agreement():
     worst_trio = worst_line = worst_evo = 0.0
     for k in range(500):
         rng = rng_for(700, k)
-        psis = nonorthogonal_triangle(rng)
+        psis = checks._nonorthogonal_states(rng)
         rhos = [states.density_of(p) for p in psis]
         ns = [states.n_vector_of(p) for p in psis]
         closed = phases.pancharatnam_phase(phases.canonicalize_triangle(*rhos)).value
@@ -237,7 +222,7 @@ def test_criterion_09_geodesic_generation():
     worst_end = worst_energy = 0.0
     for k in range(100):
         rng = rng_for(900, k)
-        pair = nonorthogonal_pair(rng)
+        pair = checks._nonorthogonal_states(rng, 2)
         na, nb = states.n_vectors_of(pair)
         coeffs = geodesics.constant_hamiltonian(na, nb)
         schedule = evolution.Schedule(((coeffs, geodesics.geodesic_angle(na, nb)),))
@@ -287,7 +272,7 @@ def test_criterion_11_canonicalization_invariance():
     worst = 0.0
     for k in range(200):
         rng = rng_for(1100, k)
-        psis = nonorthogonal_triangle(rng)
+        psis = checks._nonorthogonal_states(rng)
         base = phases.canonicalize_triangle(*(states.density_of(p) for p in psis))
         unitary = su3.random_special_unitary(rng)
         moved = [

@@ -303,6 +303,20 @@ def test_check_rejects_negative_seed(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_check_rejects_non_finite_tolerance(monkeypatch, capsys, value):
+    from triphase import checks, cli
+
+    def never(**kwargs):
+        raise AssertionError("a sweep ran before the tolerance was checked")
+
+    monkeypatch.setattr(checks, "run_all", never)
+    assert cli.main(["check", "--trials", "1", "--tol", f"algebra.tables={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+
 def test_csv_values_are_the_computed_doubles(tmp_path):
     from triphase import cli, evolution, geodesics
 

@@ -1,4 +1,4 @@
-"""Phase oracles: closed form, Bargmann product, eight-vector trace,
+"""Phase oracles: closed form, Bargmann product, eight-vector formula,
 chart line integral.  The sweeps here drive every pair of oracles
 against each other; the frozen values pin the canonical triangle."""
 
@@ -12,6 +12,7 @@ from triphase.errors import (
     ChartSingular,
     DegenerateTriangle,
     NotClosed,
+    NotOnO,
     NotTwoLevel,
     OrthogonalConsecutive,
     OrthogonalPair,
@@ -209,6 +210,20 @@ def test_n_vector_oracle_orthogonal():
         )
 
 
+@pytest.mark.parametrize(
+    "off_locus",
+    [-states.POLES[0], np.zeros(8), np.array([np.nan, 0, 0, 0, 0, 0, 0, -1.0])],
+    ids=["antipode", "zero", "nan"],
+)
+def test_n_vector_oracle_rejects_points_off_O(off_locus):
+    lifts = phases.triangle_states(phases.TriangleParams(*CANONICAL))
+    for k in range(3):
+        ns = list(states.n_vectors_of(lifts))
+        ns[k] = off_locus
+        with pytest.raises(NotOnO):
+            phases.pancharatnam_phase_from_n(*ns)
+
+
 def test_branch_cut_at_chi2_pi():
     # the closed form lands exactly on the cut here; the branch keeps +pi
     assert phases.principal_branch(-np.pi) == np.pi
@@ -223,6 +238,18 @@ def test_branch_cut_at_chi2_pi():
         assert phases.principal_branch(angle) == wrapped
 
 
+def chart_states(theta, phi, chi1, chi2):
+    st = np.sin(theta)
+    return np.stack(
+        [
+            np.exp(1j * chi1) * st * np.cos(phi),
+            np.exp(1j * chi2) * st * np.sin(phi),
+            np.cos(theta) + 0j,
+        ],
+        axis=1,
+    )
+
+
 def test_line_integral_synthetic_loop():
     # fixed theta, phi; chi1 winds once: phase = -sin^2(theta) cos^2(phi) 2 pi
     count = 20001
@@ -230,7 +257,7 @@ def test_line_integral_synthetic_loop():
     phi = np.full(count, np.pi / 3)
     chi1 = np.linspace(0.0, 2 * np.pi, count)
     chi2 = np.zeros(count)
-    result = phases.line_integral_phase(theta, phi, chi1, chi2)
+    result = phases.line_integral_phase_from_states(chart_states(theta, phi, chi1, chi2))
     assert result.method == "line-integral"
     assert phases.phase_distance(result.value, -np.pi / 4) < 1e-10
 
@@ -240,8 +267,8 @@ def test_line_integral_requires_closure():
     theta = np.linspace(0.2, 0.4, count)
     phi = np.full(count, 0.5)
     chi = np.zeros(count)
-    with pytest.raises(NotClosed):
-        phases.line_integral_phase(theta, phi, chi, chi)
+    with pytest.raises(NotClosed, match=r"probability 9\.605e-01 is not 1"):
+        phases.line_integral_phase_from_states(chart_states(theta, phi, chi, chi))
 
 
 def test_triangle_line_integral_canonical():
