@@ -47,6 +47,7 @@ from .geodesics import (
     in_phase_lift,
     planarity_test,
     polygon_lift,
+    polygon_sides,
     sample_curve_in_O,
     span_rank,
 )

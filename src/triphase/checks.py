@@ -55,17 +55,13 @@ _nonorthogonal_triangle = _nonorthogonal_states
 
 
 def check_algebra_tables(seed, trials):
-    worst_f = worst_d = 0.0
-    for r in range(8):
-        for s in range(8):
-            comm = su3.LAMBDA[r] @ su3.LAMBDA[s] - su3.LAMBDA[s] @ su3.LAMBDA[r]
-            recon = 2j * np.einsum("t,tij->ij", su3.F[r, s], su3.LAMBDA)
-            worst_f = max(worst_f, np.abs(comm - recon).max())
-            anti = su3.LAMBDA[r] @ su3.LAMBDA[s] + su3.LAMBDA[s] @ su3.LAMBDA[r]
-            recon = (4.0 / 3.0) * (r == s) * np.eye(3) + 2.0 * np.einsum(
-                "t,tij->ij", su3.D[r, s], su3.LAMBDA
-            )
-            worst_d = max(worst_d, np.abs(anti - recon).max())
+    products = su3.LAMBDA[:, None] @ su3.LAMBDA[None, :]  # l_r l_s, all 64 pairs
+    swapped = products.transpose(1, 0, 2, 3)
+    recon_f = 2j * np.einsum("rst,tij->rsij", su3.F, su3.LAMBDA)
+    recon_d = 2.0 * np.einsum("rst,tij->rsij", su3.D, su3.LAMBDA)
+    recon_d += (4.0 / 3.0) * np.einsum("rs,ij->rsij", np.eye(8), np.eye(3))
+    worst_f = np.abs(products - swapped - recon_f).max()
+    worst_d = np.abs(products + swapped - recon_d).max()
     gram = np.einsum("rij,sji->rs", su3.LAMBDA, su3.LAMBDA)
     trace_err = np.abs(gram - 2.0 * np.eye(8)).max()
     return [

@@ -95,30 +95,33 @@ def geodesic_between(rho1, rho2):
     return _geodesic_from_in_phase(psi1, psi2)
 
 
-def polygon_lift(rhos, per_arc=2000):
+def polygon_sides(rhos):
     """Continuous piecewise-geodesic lift through a cyclic list of densities.
 
-    Returns a list of (s, psi_samples) pieces, one per side, each sampled
-    at per_arc points.  Consecutive pieces share their junction lift, so
-    the concatenation is a continuous curve; it closes in ray space but
-    in general not in state space, and the mismatch angle is the
-    geometric phase of the loop.
+    Returns one GeodesicCurve per side.  Every vertex is lifted once, and
+    consecutive sides share their junction lift, so the sides chain into
+    a continuous curve; it closes in ray space but in general not in
+    state space, and the mismatch angle is the geometric phase of the loop.
     """
     if len(rhos) < 3:
         raise TooFewSamples("a polygon needs at least three vertices")
-    if per_arc < 2:
-        raise TooFewSamples("need at least two samples per side")
     lifts = [states.lift_of_density(r) for r in rhos]
-    pieces = []
+    sides = []
     current = lifts[0]
     for nxt in lifts[1:] + [lifts[0]]:
         ip = states.nonorthogonal(np.vdot(current, nxt), OrthogonalEndpoints)
         ahead = nxt * np.exp(-1j * np.angle(ip))
-        g = _geodesic_from_in_phase(current, ahead)
-        s = np.linspace(0.0, g.length, per_arc)
-        pieces.append((s, g(s)))
+        sides.append(_geodesic_from_in_phase(current, ahead))
         current = ahead
-    return pieces
+    return sides
+
+
+def polygon_lift(sides, per_arc=2000):
+    """(s, psi_samples) of each side from polygon_sides, at per_arc points a side."""
+    if per_arc < 2:
+        raise TooFewSamples("need at least two samples per side")
+    grids = [np.linspace(0.0, g.length, per_arc) for g in sides]
+    return [(s, g(s)) for s, g in zip(grids, sides)]
 
 
 def sample_curve_in_O(curve, count):

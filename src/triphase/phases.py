@@ -64,8 +64,8 @@ class PhaseResult:
 
 
 def _closed_at_pi(angle):
-    # arctan2 and angle return values in [-pi, pi]; the branch owns +pi only
-    return np.pi if angle == -np.pi else angle
+    # arctan2 and angle give [-pi, pi]; the branch owns +pi only, and zero is unsigned
+    return np.pi if angle == -np.pi else angle + 0.0
 
 
 def principal_branch(angle):
@@ -257,18 +257,19 @@ def _chart_samples(psis):
     psis = np.asarray(psis, dtype=complex)
     if psis.ndim != 2 or psis.shape[1] != 3 or psis.shape[0] < 3:
         raise TooFewSamples("need an (N, 3) array with N >= 3")
-    squares = psis.real**2 + psis.imag**2
-    norms = squares.sum(axis=1)
-    weights = squares / norms[:, None]
-    closest = np.sqrt(weights[:, 2].min())
+    c = np.ascontiguousarray(psis.T)
+    squares = c.real**2 + c.imag**2
+    norms = squares.sum(axis=0)
+    weights = squares / norms
+    closest = np.sqrt(weights[2].min())
     if closest <= states.CHART_TOL:
         raise ChartSingular(f"loop reaches |psi_3| = {closest:.3e}; chart breaks down")
     closure = abs(np.vdot(psis[0], psis[-1])) ** 2 / (norms[0] * norms[-1])
     if abs(closure - 1.0) > 1e-7:
         raise NotClosed(f"endpoint transition probability {closure:.3e} is not 1")
-    chi = np.angle(psis[:, :2] * psis[:, 2:].conj())
-    filled = [_fill_undefined(c, w > 1e-24) for c, w in zip(chi.T, weights.T)]
-    return weights[:, 0], weights[:, 1], *filled
+    chi = np.angle(c[:2] * c[2].conj())
+    filled = [_fill_undefined(a, w > 1e-24) for a, w in zip(chi, weights)]
+    return weights[0], weights[1], *filled
 
 
 def line_integral_phase_from_states(psis):
@@ -293,15 +294,13 @@ def triangle_line_integral_phase(rho1, rho2, rho3):
     (ratio 2 would make m odd), so no sample sits on a side's midpoint,
     where a side can cross psi_3 = 0 (xi = eta = 1.2, zeta = pi/2, chi2 = pi).
     """
-    rhos = [rho1, rho2, rho3]
-    scan = geodesics.polygon_lift(rhos, per_arc=200)
+    sides = geodesics.polygon_sides([rho1, rho2, rho3])
+    scan = geodesics.polygon_lift(sides, per_arc=200)
     closest = min(np.abs(p[:, 2]).min() for _, p in scan)
     if closest <= 2e-4:
-        raise ChartSingular(
-            f"triangle reaches |psi_3| = {closest:.3e}; chart breaks down"
-        )
+        raise ChartSingular(f"triangle reaches |psi_3| = {closest:.3e}; chart breaks down")
     n = max(_COARSE_PER_ARC, 2 * int(np.ceil(4.0 / closest)))
-    pieces = geodesics.polygon_lift(rhos, per_arc=min(3 * n - 2, 400000))
+    pieces = geodesics.polygon_lift(sides, per_arc=min(3 * n - 2, 400000))
     fine = _chart_samples(np.concatenate([p for _, p in pieces], axis=0))
     coarse = [a.reshape(3, -1)[:, ::3].ravel() for a in fine]
     value = (9.0 * _chart_line_integral(*fine) - _chart_line_integral(*coarse)) / 8.0

@@ -64,6 +64,15 @@ def test_phase_triangle_zero():
         assert abs(r["phase"]) < 1e-6
 
 
+def test_phase_triangle_zero_prints_no_negative_zero(capsys):
+    from triphase import cli
+
+    argv = ["phase-triangle", "--xi", "0.4", "--eta", "0.9", "--zeta", "1.2", "--chi2", "0"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[:4]
+    assert all('"phase":0,' in line for line in lines)
+
+
 def test_phase_triangle_deterministic():
     args = ("phase-triangle", "--xi", "0.8", "--eta", "0.6", "--zeta", "1.0", "--chi2", "2.5")
     assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -43,7 +43,7 @@ def test_in_phase_lift_orthogonal():
         geodesics.in_phase_lift(e1, e2)
     e3 = states.density_of(np.array([0.0, 0.0, 1.0], dtype=complex))
     with pytest.raises(OrthogonalEndpoints):
-        geodesics.polygon_lift([e1, e2, e3])
+        geodesics.polygon_sides([e1, e2, e3])
 
 
 def test_canonical_geodesic_frozen():
@@ -196,8 +196,14 @@ def test_polygon_lift_continuous():
         if min(ips) > 1e-3:
             break
     rhos = [states.density_of(p) for p in psis]
-    pieces = geodesics.polygon_lift(rhos, per_arc=300)
+    sides = geodesics.polygon_sides(rhos)
+    pieces = geodesics.polygon_lift(sides, per_arc=300)
     assert len(pieces) == 3
+    # the pieces are the sides' own samples, row for row
+    for side, (s, lift) in zip(sides, pieces):
+        grid = np.linspace(0.0, side.length, 300)
+        assert np.array_equal(s, grid)
+        assert np.array_equal(lift, side(grid))
     # each arc carries its own parameter; the lifts chain continuously
     for (s_a, lift_a), (s_b, lift_b) in zip(pieces, pieces[1:]):
         assert s_b[0] == 0.0

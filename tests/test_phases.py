@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from triphase import geodesics, phases, states, su3
+from triphase import checks, geodesics, phases, states, su3
 from triphase.errors import (
     ChartSingular,
     DegenerateTriangle,
@@ -262,6 +262,39 @@ def test_line_integral_synthetic_loop():
     assert phases.phase_distance(result.value, -np.pi / 4) < 1e-10
 
 
+def _chart_samples_row_major(psis):
+    # the (N, 3) arithmetic _chart_samples is pinned to, without its guards
+    squares = psis.real**2 + psis.imag**2
+    weights = squares / squares.sum(axis=1)[:, None]
+    chi = np.angle(psis[:, :2] * psis[:, 2:].conj())
+    filled = [phases._fill_undefined(c, w > 1e-24) for c, w in zip(chi.T, weights.T)]
+    return weights[:, 0], weights[:, 1], *filled
+
+
+def test_chart_samples_match_row_major_bits():
+    count = 2001
+    theta = np.full(count, np.pi / 4)
+    phi = np.full(count, np.pi / 3)
+    chi1 = np.linspace(0.0, 2 * np.pi, count)
+    synthetic = chart_states(theta, phi, chi1, np.zeros(count))
+    # a loop through psi_1 = 0, signed zeros included, where chi1 is filled
+    through_zero = chart_states(
+        0.3 + 0.3 * np.sin(chi1 / 2), np.full(count, 0.7), chi1, np.cos(chi1)
+    )
+    through_zero[500:700, 0] = 0.0
+    through_zero[700:900, 0] = complex(-0.0, -0.0)
+    rng = np.random.default_rng(3)
+    sides = geodesics.polygon_sides([states.density_of(p) for p in random_triangle(rng)])
+    triangle = np.concatenate([p for _, p in geodesics.polygon_lift(sides, 1201)])
+    for psis in (synthetic, through_zero, triangle):
+        got = phases._chart_samples(psis)
+        want = _chart_samples_row_major(psis)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+            assert a.flags.c_contiguous
+
+
 def test_line_integral_requires_closure():
     count = 101
     theta = np.linspace(0.2, 0.4, count)
@@ -312,6 +345,58 @@ def test_triangle_line_integral_singular():
     ]
     with pytest.raises(ChartSingular):
         phases.triangle_line_integral_phase(*singular)
+
+
+# float.hex of triangle_line_integral_phase: the canonical phase-triangle inputs
+PINNED_CANONICAL = {
+    CANONICAL: "-0x1.921fb54442d18p-1",
+    (0.4, 0.9, 1.2, 0.0): "0x0.0p+0",
+    (1.2, 1.2, np.pi / 2, np.pi): "0x1.921fb54442d18p+1",
+}
+# and checks._nonorthogonal_states(default_rng([PINNED_SEED, k])) for each key k;
+# the last five come within |psi_3| < 0.012 of the chart's edge, so their
+# fine grids take more than 2000 samples a side
+PINNED_SEED = 20261018
+PINNED_HAAR = {
+    0: "0x1.5056261906062p-5",
+    1: "-0x1.0a43c214e1c42p-1",
+    2: "0x1.1681853880f18p-1",
+    3: "-0x1.68a08173106b0p-2",
+    4: "0x1.5d9c6432146b7p-4",
+    5: "0x1.1c1718bf32603p-2",
+    6: "0x1.ea80c8c38396cp-1",
+    7: "0x1.48993e877ac9cp-4",
+    8: "0x1.ed008c8c18d9ap-2",
+    9: "0x1.32942cfb7158bp-2",
+    10: "-0x1.4883a210214adp-1",
+    11: "-0x1.8b471f183089ep-3",
+    12: "-0x1.5db68ed5d0fc7p-1",
+    13: "-0x1.0372fac3c2583p+1",
+    14: "0x1.147780f152ef1p-4",
+    16: "0x1.4e1a76f54bc8ap-1",
+    49: "0x1.a3d5fd062c1f7p-3",
+    83: "-0x1.7c4833dbde8b6p+0",
+    85: "-0x1.05b2f949f0e26p+1",
+    103: "0x1.5cebad403cd8cp+1",
+}
+
+
+def test_triangle_line_integral_pinned_doubles():
+    for params, pinned in PINNED_CANONICAL.items():
+        lifts = phases.triangle_states(phases.TriangleParams(*params))
+        rhos = [states.density_of(p) for p in lifts]
+        assert phases.triangle_line_integral_phase(*rhos).value.hex() == pinned
+    for k, pinned in PINNED_HAAR.items():
+        psis = checks._nonorthogonal_states(np.random.default_rng([PINNED_SEED, k]))
+        rhos = [states.density_of(p) for p in psis]
+        assert phases.triangle_line_integral_phase(*rhos).value.hex() == pinned
+
+
+def test_triangle_line_integral_chart_edge_seed_still_singular():
+    # the first draw of check --seed 1352247602 comes too close to psi_3 = 0
+    psis = checks._nonorthogonal_states(checks._rng(1352247602, 0))
+    with pytest.raises(ChartSingular):
+        phases.triangle_line_integral_phase(*(states.density_of(p) for p in psis))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
