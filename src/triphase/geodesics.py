@@ -28,6 +28,7 @@ from .errors import (
 )
 
 COINCIDENT_TOL = 1e-12
+TANGENT_TOL = 1e-12  # largest |(psi0, tangent)| a GeodesicCurve takes as orthogonal
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class GeodesicCurve:
         for name, v in (("psi0", self.psi0), ("tangent", self.tangent)):
             if abs(np.vdot(v, v).real - 1.0) > states.NORM_TOL:
                 raise ValueError(f"{name} is not normalized")
-        if abs(np.vdot(self.psi0, self.tangent)) > 1e-12:
+        if abs(np.vdot(self.psi0, self.tangent)) > TANGENT_TOL:
             raise ValueError("tangent is not orthogonal to psi0")
 
     def __call__(self, s):
@@ -63,8 +64,7 @@ def in_phase_lift(rho1, rho2):
     psi1 follows the deterministic gauge of lift_of_density; psi2 is the
     lift of rho2 rephased so that (psi1, psi2) > 0.
     """
-    psi1 = states.lift_of_density(rho1)
-    psi2 = states.lift_of_density(rho2)
+    psi1, psi2 = states.lift_of_density([rho1, rho2])
     ip = states.nonorthogonal(np.vdot(psi1, psi2), OrthogonalEndpoints)
     return psi1, psi2 * np.exp(-1j * np.angle(ip))
 
@@ -105,7 +105,7 @@ def polygon_sides(rhos):
     """
     if len(rhos) < 3:
         raise TooFewSamples("a polygon needs at least three vertices")
-    lifts = [states.lift_of_density(r) for r in rhos]
+    lifts = list(states.lift_of_density(rhos))
     sides = []
     current = lifts[0]
     for nxt in lifts[1:] + [lifts[0]]:
@@ -117,11 +117,17 @@ def polygon_sides(rhos):
 
 
 def polygon_lift(sides, per_arc=2000):
-    """(s, psi_samples) of each side from polygon_sides, at per_arc points a side."""
+    """(s, psi_samples) of each polygon_sides side: linspace(0, length, per_arc) and the
+    curve's doubles there, psi_samples the (per_arc, 3) transpose of a (3, per_arc) block."""
     if per_arc < 2:
         raise TooFewSamples("need at least two samples per side")
-    grids = [np.linspace(0.0, g.length, per_arc) for g in sides]
-    return [(s, g(s)) for s, g in zip(grids, sides)]
+    lengths = np.array([g.length for g in sides])
+    grids = np.arange(per_arc, dtype=float) * (lengths / (per_arc - 1))[:, None]
+    grids[:, -1] = lengths
+    return [
+        (s, (np.multiply.outer(g.psi0, c) + np.multiply.outer(g.tangent, sn)).T)
+        for s, c, sn, g in zip(grids, np.cos(grids), np.sin(grids), sides)
+    ]
 
 
 def sample_curve_in_O(curve, count):

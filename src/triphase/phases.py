@@ -50,6 +50,8 @@ from .errors import (
 )
 
 _COARSE_PER_ARC = 400
+CLOSURE_TOL = 1e-7  # largest |closure - 1| of a sampled loop's endpoint overlap
+WEIGHT_FLOOR = 1e-24  # chart weights |psi_k|^2 at or below it leave arg psi_k undefined
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def canonicalize_triangle(rho1, rho2, rho3):
     The parameters only depend on the rays, not on lift gauges or a
     global SU(3) rotation.
     """
-    lifts = [states.lift_of_density(r) for r in (rho1, rho2, rho3)]
+    lifts = states.lift_of_density([rho1, rho2, rho3])
     ip12 = np.vdot(lifts[0], lifts[1])
     ip23 = np.vdot(lifts[1], lifts[2])
     ip31 = np.vdot(lifts[2], lifts[0])
@@ -265,10 +267,10 @@ def _chart_samples(psis):
     if closest <= states.CHART_TOL:
         raise ChartSingular(f"loop reaches |psi_3| = {closest:.3e}; chart breaks down")
     closure = abs(np.vdot(psis[0], psis[-1])) ** 2 / (norms[0] * norms[-1])
-    if abs(closure - 1.0) > 1e-7:
+    if abs(closure - 1.0) > CLOSURE_TOL:
         raise NotClosed(f"endpoint transition probability {closure:.3e} is not 1")
     chi = np.angle(c[:2] * c[2].conj())
-    filled = [_fill_undefined(a, w > 1e-24) for a, w in zip(chi, weights)]
+    filled = [_fill_undefined(a, w > WEIGHT_FLOOR) for a, w in zip(chi, weights)]
     return weights[0], weights[1], *filled
 
 
@@ -301,7 +303,8 @@ def triangle_line_integral_phase(rho1, rho2, rho3):
         raise ChartSingular(f"triangle reaches |psi_3| = {closest:.3e}; chart breaks down")
     n = max(_COARSE_PER_ARC, 2 * int(np.ceil(4.0 / closest)))
     pieces = geodesics.polygon_lift(sides, per_arc=min(3 * n - 2, 400000))
-    fine = _chart_samples(np.concatenate([p for _, p in pieces], axis=0))
+    # the pieces are transposes, so this is already the (3, N) layout _chart_samples reads
+    fine = _chart_samples(np.concatenate([p.T for _, p in pieces], axis=1).T)
     coarse = [a.reshape(3, -1)[:, ::3].ravel() for a in fine]
     value = (9.0 * _chart_line_integral(*fine) - _chart_line_integral(*coarse)) / 8.0
     return PhaseResult(principal_branch(value), "line-integral")

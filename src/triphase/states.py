@@ -128,22 +128,30 @@ def assert_on_O(n, tol=PURITY_TOL):
 def lift_of_density(rho, tol=PURITY_TOL):
     """Unit eigenvector of a pure density matrix, in a deterministic gauge.
 
-    The gauge makes the largest-modulus component real and positive.
+    The gauge makes the largest-modulus component real and positive.  A
+    (k, 3, 3) stack gives (k, 3) lifts, row for row the single calls' doubles,
+    and raises the single call's error for its first impure matrix.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.shape != (3, 3):
-        raise ValueError(f"density matrix must have shape (3, 3), got {r.shape}")
-    hermiticity = np.abs(r - r.conj().T).max()
-    purity = np.abs(r @ r - r).max()
-    trace = abs(np.trace(r).real - 1.0)
-    if max(hermiticity, purity, trace) > tol:
-        raise ValueError(
-            f"not a pure-state density matrix (defects {hermiticity:.1e}, "
-            f"{purity:.1e}, {trace:.1e})"
-        )
-    _, vecs = np.linalg.eigh(r)
-    psi = vecs[:, -1]
-    j = int(np.argmax(np.abs(psi)))
+    if r.shape[-2:] != (3, 3) or r.ndim > 3:
+        raise ValueError(f"density matrix must have shape (3, 3) or (k, 3, 3), got {r.shape}")
+    hermiticity = np.abs(r - r.conj().swapaxes(-1, -2))
+    purity = np.abs(r @ r - r)
+    trace = np.abs(r.trace(axis1=-2, axis2=-1).real - 1.0)
+    if not (hermiticity.max() <= tol and purity.max() <= tol and trace.max() <= tol):
+        # judge each matrix as a single call does, NaN defects included
+        worst = (hermiticity.reshape(-1, 9).max(1), purity.reshape(-1, 9).max(1), trace.ravel())
+        for defects in zip(*(w.tolist() for w in worst)):
+            if max(defects) > tol:
+                message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
+                raise ValueError(message.format(*defects))
+    tops = np.linalg.eigh(r)[1][..., -1]
+    return _gauged(tops) if r.ndim == 2 else np.array([_gauged(psi) for psi in tops])
+
+
+def _gauged(psi):
+    # a scalar factor and norm per row: the array forms round differently
+    j = int(np.abs(psi).argmax())
     psi = psi * (psi[j].conjugate() / abs(psi[j]))
     return psi / np.linalg.norm(psi)
 

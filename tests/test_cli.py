@@ -1,15 +1,20 @@
 """End-to-end CLI runs through subprocess: output formats, exit codes,
 byte determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triphase import states, su3
+from triphase import checks, cli, states, su3
 
 PI_4 = repr(math.pi / 4)
 PI_2 = repr(math.pi / 2)
@@ -376,3 +381,88 @@ def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
     for k, argv in enumerate(runs):
         assert cli.main(argv + ["--out", str(tmp_path / f"split{k}.csv")]) == 0
         assert (tmp_path / f"split{k}.csv").read_bytes() == whole[k]
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_built_once_and_handler_looked_up_per_call(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.tol) or 0)
+    assert cli.main(["check", "--tol", "algebra.tables=1"]) == 0
+    # the appended override does not leak into the shared default list
+    assert cli.main(["check"]) == 0
+    assert seen == [["algebra.tables=1"], []]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    verb=st.sampled_from(["phase-bargmann", "geodesic", "evolve"]),
+    vertex=st.integers(0, 2),
+    part=st.sampled_from(["re", "im"]),
+    component=st.integers(0, 2),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_state_component_exits_4(
+    tmp_path_factory, verb, vertex, part, component, value
+):
+    tmp = tmp_path_factory.mktemp("non_finite")
+    psis = checks._nonorthogonal_states(np.random.default_rng(5))
+    objs = [states.state_to_json(p) for p in psis]
+    if verb == "geodesic":
+        objs, vertex = objs[:2], vertex % 2
+    objs[vertex][part][component] = value
+    if verb == "geodesic":
+        inputs = [tmp / "a.json", tmp / "b.json"]
+        for path, obj in zip(inputs, objs):
+            path.write_text(json.dumps(obj))
+    else:
+        inputs = [tmp / "states.json"]
+        inputs[0].write_text(json.dumps(objs))
+    out = tmp / "out.txt"
+    code, stdout, stderr = run_in_process([verb, *map(str, inputs), "--out", str(out)])
+    assert code == 4
+    assert stdout == "" and not out.exists()
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_BOUNDED = sorted(checks.BOUNDED_CHECKS)
+_REJECTED_OVERRIDE = st.one_of(
+    st.tuples(
+        st.text(min_size=1).filter(lambda name: "=" not in name and name not in _BOUNDED),
+        _FINITE,
+    ),
+    st.tuples(st.just("evolution.convergence_order"), _FINITE),
+    st.tuples(
+        st.sampled_from(_BOUNDED),
+        st.sampled_from(["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity"]),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    accepted=st.lists(st.tuples(st.sampled_from(_BOUNDED), _FINITE), max_size=3),
+    rejected=_REJECTED_OVERRIDE,
+    position=st.integers(0, 3),
+)
+def test_rejected_tol_exits_2_before_any_sweep(accepted, rejected, position):
+    overrides = list(accepted)
+    overrides.insert(position, rejected)
+    argv = ["check", "--trials", "1"] + [f"--tol={name}={value}" for name, value in overrides]
+
+    def never(**kwargs):
+        raise AssertionError("a sweep ran before the overrides were checked")
+
+    with mock.patch.object(checks, "run_all", never):
+        code, stdout, stderr = run_in_process(argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1

@@ -250,3 +250,26 @@ def test_hamiltonian_family_frozen():
     frozen = np.array([1.0, 2.0, 3.0 * SQRT3 + 4.0, 0.0, 0.0, 0.0, -1.0, 3.0])
     assert np.abs(coeffs.h - frozen).max() < 1e-14
     assert abs(coeffs.h0 - 2.0 * SQRT3) < 1e-14
+
+
+def test_polygon_lift_rows_are_the_curves_doubles():
+    rng = np.random.default_rng(21)
+    psis = random_nonorthogonal_pair(rng)
+    third = states.random_state(rng)
+    # the first side joins two copies of one density, so it has length 0
+    rhos = [states.density_of(p) for p in (psis[0], psis[0], psis[1], third)]
+    sides = geodesics.polygon_sides(rhos)
+    assert sides[0].length == 0.0 and min(g.length for g in sides[1:]) > 0.0
+    for per_arc in (2, 7, 1201):
+        pieces = geodesics.polygon_lift(sides, per_arc)
+        for side, (s, lift) in zip(sides, pieces):
+            grid = np.linspace(0.0, side.length, per_arc)
+            assert np.array_equal(s, grid)
+            assert np.array_equal(np.signbit(s), np.signbit(grid))
+            want = side(grid)
+            assert lift.shape == (per_arc, 3) and lift.T.flags.c_contiguous
+            for row, expected in zip(lift, want):
+                assert np.array_equal(row, expected)
+                for part in ("real", "imag"):
+                    got, ref = getattr(row, part), getattr(expected, part)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref))

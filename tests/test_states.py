@@ -238,3 +238,48 @@ def test_json_rejects_malformed():
         states.state_from_json({"re": [1, 0, 0]})
     with pytest.raises(ValueError):
         states.state_from_json({"re": [1, 0], "im": [0, 0]})
+
+
+def _tie_states():
+    r2, r3 = 1 / np.sqrt(2.0), 1 / np.sqrt(3.0)
+    return [
+        np.array([r2, r2, 0.0], dtype=complex),
+        np.array([r2, 1j * r2, 0.0], dtype=complex),
+        np.array([0.0, -r2, r2], dtype=complex),
+        np.array([r3, r3, r3], dtype=complex),
+        np.array([r3, -1j * r3, r3], dtype=complex),
+    ]
+
+
+def test_stacked_lift_matches_single_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    psis = list(states.random_states(rng, 300)) + list(np.eye(3, dtype=complex))
+    psis += _tie_states()
+    rhos = np.array([states.density_of(p) for p in psis])
+    stacked = states.lift_of_density(rhos)
+    assert stacked.shape == (len(psis), 3) and stacked.flags.c_contiguous
+    for rho, row in zip(rhos, stacked):
+        single = states.lift_of_density(rho)
+        assert single.shape == (3,) and single.flags.c_contiguous
+        assert np.array_equal(row, single)
+        assert np.array_equal(np.signbit(row.view(float)), np.signbit(single.view(float)))
+    # a list of matrices is a stack too, and so is a stack of one
+    assert np.array_equal(states.lift_of_density(list(rhos[:3])), stacked[:3])
+    assert np.array_equal(states.lift_of_density(rhos[:1]), stacked[:1])
+
+
+def test_stacked_lift_raises_the_first_failing_matrix():
+    good = states.density_of(states.random_state(12))
+    mixed = np.eye(3) / 3.0
+    skew = good.copy()
+    skew[0, 1] += 1e-3
+    for stack, first_bad in (([good, mixed, skew], mixed), ([good, skew, mixed], skew)):
+        with pytest.raises(ValueError) as single:
+            states.lift_of_density(first_bad)
+        with pytest.raises(ValueError) as stacked:
+            states.lift_of_density(stack)
+        assert "not a pure-state density matrix" in str(single.value)
+        assert str(stacked.value) == str(single.value)
+    for shape in ((3,), (2, 2), (2, 3, 2), (1, 2, 3, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            states.lift_of_density(np.zeros(shape))
