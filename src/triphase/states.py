@@ -135,14 +135,15 @@ def lift_of_density(rho, tol=PURITY_TOL):
     r = np.asarray(rho, dtype=complex)
     if r.shape[-2:] != (3, 3) or r.ndim > 3:
         raise ValueError(f"density matrix must have shape (3, 3) or (k, 3, 3), got {r.shape}")
-    hermiticity = np.abs(r - r.conj().swapaxes(-1, -2))
-    purity = np.abs(r @ r - r)
-    trace = np.abs(r.trace(axis1=-2, axis2=-1).real - 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
+        hermiticity = np.abs(r - r.conj().swapaxes(-1, -2))
+        purity = np.abs(r @ r - r)
+        trace = np.abs(r.trace(axis1=-2, axis2=-1).real - 1.0)
     if not (hermiticity.max() <= tol and purity.max() <= tol and trace.max() <= tol):
-        # judge each matrix as a single call does, NaN defects included
+        # judge each matrix as a single call does; a NaN defect fails too
         worst = (hermiticity.reshape(-1, 9).max(1), purity.reshape(-1, 9).max(1), trace.ravel())
         for defects in zip(*(w.tolist() for w in worst)):
-            if max(defects) > tol:
+            if not all(d <= tol for d in defects):
                 message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
                 raise ValueError(message.format(*defects))
     tops = np.linalg.eigh(r)[1][..., -1]

@@ -1,9 +1,22 @@
 """The seeded sweeps behind the 'check' verb, called as a library."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from triphase import checks, su3
+from triphase import checks, cli, su3
+
+# stdout sha256 and exit code of whole 'check' runs, pinned before the
+# sweeps were rewritten onto one bound table and one per-trial driver
+PINNED_REPORTS = {
+    ("--seed", "3", "--trials", "5"): (
+        0, "79ab978492b78e69754f382d38df600827085faa4143e442e058fba1c25528b0"
+    ),
+    ("--trials", "2", "--tol", "algebra.tables=1e-20"): (
+        1, "5c39085c2f514b4a709196cfa989f37a3903f7c915932917e451e1cbf423c128"
+    ),
+}
 
 
 def test_sweep_redraws_triangles_off_the_chart_edge():
@@ -45,3 +58,11 @@ def test_algebra_tables_match_the_pairwise_loop():
     tables = checks.check_algebra_tables(0, 1)[0]
     assert tables.name == "algebra.tables"
     assert tables.value == worst
+
+
+def test_check_report_bytes_pinned(capsys):
+    for argv, (code, digest) in PINNED_REPORTS.items():
+        assert cli.main(["check", *argv]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+

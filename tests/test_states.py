@@ -283,3 +283,17 @@ def test_stacked_lift_raises_the_first_failing_matrix():
     for shape in ((3,), (2, 2), (2, 3, 2), (1, 2, 3, 3)):
         with pytest.raises(ValueError, match="shape"):
             states.lift_of_density(np.zeros(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+def test_non_finite_density_raises_value_error(value, entry):
+    good = states.density_of(states.random_state(13))
+    bad = good.copy()
+    bad[entry] = value
+    with pytest.raises(ValueError, match="not a pure-state density matrix") as single:
+        states.lift_of_density(bad)
+    for stack in ([good, bad], [bad, good, good]):
+        with pytest.raises(ValueError) as stacked:
+            states.lift_of_density(stack)
+        assert str(stacked.value) == str(single.value)
