@@ -17,12 +17,8 @@ from .errors import ChartSingular
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One property sweep: measured value against its bound.
-
-    For most checks the value is a worst-case error and must stay below
-    the tolerance; checks marked lower_bound=True require the value to
-    stay above it, and interval checks give tolerance as (lo, hi).
-    """
+    """One check's measured value against its tolerance, from BOUNDS or a
+    --tol override; lower_bound marks a value that must stay at or above it."""
 
     name: str
     value: float
@@ -32,12 +28,69 @@ class CheckResult:
     lower_bound: bool = False
 
 
-def _upper(name, value, tol, trials=None):
-    return CheckResult(name, float(value), tol, bool(value <= tol), trials)
+# Every check's bound, in report order: an upper bound on the measured
+# value, the one lower bound (_LOWER_BOUNDED), or an interval (lo, hi).
+BOUNDS = {
+    "algebra.tables": 1e-14,
+    "algebra.trace_orthonormality": 1e-14,
+    "algebra.bilinearity": 1e-12,
+    "algebra.adjoint_homomorphism": 1e-11,
+    "algebra.product_covariance": 1e-11,
+    "states.membership": 1e-10,
+    "states.opening_angle_excess": 1e-12,
+    "states.antipode_excluded": 0.5,
+    "states.poles": 1e-15,
+    "states.equivariance": 1e-11,
+    "states.chart_roundtrip": 1e-10,
+    "geodesics.endpoint_roundtrip": 1e-10,
+    "geodesics.sample_normalization": 1e-12,
+    "geodesics.planarity_failures": 0,
+    "geodesics.equivariance": 1e-10,
+    "geodesics.length": 1e-6,
+    "geodesics.zero_phase": 1e-7,
+    "phases.closed_form_agreement": 1e-10,
+    "phases.line_integral_agreement": 1e-5,
+    "phases.rephasing_invariance": 1e-12,
+    "phases.su3_invariance": 1e-10,
+    "phases.evolution_agreement": 1e-6,
+    "evolution.cyclic_closure": 1e-7,
+    "evolution.vanishing_dynamical_phase": 1e-9,
+    "phases.chi2_oddness": 1e-12,
+    "phases.two_level_cosine": 1e-10,
+    "phases.two_level_solid_angle": 1e-9,
+    "evolution.two_pictures": 1e-7,
+    "evolution.adjoint_norm_drift": 1e-8,
+    "evolution.geodesic_generation": 1e-8,
+    "evolution.energy_expectation": 1e-9,
+    "evolution.convergence_order": (12.0, 20.0),
+}
+_LOWER_BOUNDED = frozenset({"states.antipode_excluded"})
+
+# Every check with an upper or lower bound, which --tol may override.  The
+# names are fixed per sweep, so overrides are validated before any runs.
+BOUNDED_CHECKS = frozenset(n for n, b in BOUNDS.items() if not isinstance(b, tuple))
+
+
+def _result(name, value, trials=None, bound=None):
+    """The check's record, value judged against bound (default: its BOUNDS
+    entry).  A NaN value fails every kind of bound."""
+    bound = BOUNDS[name] if bound is None else bound
+    lower = name in _LOWER_BOUNDED
+    if isinstance(bound, tuple):
+        passed = bound[0] <= value <= bound[1]
+    else:
+        passed = value >= bound if lower else value <= bound
+    return CheckResult(name, float(value), bound, bool(passed), trials, lower)
 
 
 def _rng(seed, trial):
     return np.random.default_rng([seed, trial])
+
+
+def _worst(seed, trials, errors):
+    """Column-wise max of errors(rng) over the trials, each trial with its
+    own generator; unlike a running max(), a NaN measurement propagates."""
+    return np.array([errors(_rng(seed, k)) for k in range(trials)], dtype=float).max(axis=0)
 
 
 def _nonorthogonal_states(rng, count=3, floor=1e-3):
@@ -65,52 +118,43 @@ def check_algebra_tables(seed, trials):
     gram = np.einsum("rij,sji->rs", su3.LAMBDA, su3.LAMBDA)
     trace_err = np.abs(gram - 2.0 * np.eye(8)).max()
     return [
-        _upper("algebra.tables", max(worst_f, worst_d), 1e-14),
-        _upper("algebra.trace_orthonormality", trace_err, 1e-14),
+        _result("algebra.tables", np.maximum(worst_f, worst_d)),
+        _result("algebra.trace_orthonormality", trace_err),
     ]
 
 
 def check_bilinearity(seed, trials):
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         a, b, c = rng.standard_normal((3, 8))
         x, y = rng.standard_normal(2)
-        for product in (su3.wedge, su3.star):
-            worst = max(
-                worst,
-                np.abs(
-                    product(x * a + y * b, c) - x * product(a, c) - y * product(b, c)
-                ).max(),
-                np.abs(
-                    product(c, x * a + y * b) - x * product(c, a) - y * product(c, b)
-                ).max(),
-            )
-        worst = max(worst, np.abs(su3.wedge(a, b) + su3.wedge(b, a)).max())
-        worst = max(worst, np.abs(su3.star(a, b) - su3.star(b, a)).max())
-    return [_upper("algebra.bilinearity", worst, 1e-12, trials)]
+        mixed = x * a + y * b
+        products = (su3.wedge, su3.star)
+        left = [np.abs(p(mixed, c) - x * p(a, c) - y * p(b, c)).max() for p in products]
+        right = [np.abs(p(c, mixed) - x * p(c, a) - y * p(c, b)).max() for p in products]
+        antisymmetry = np.abs(su3.wedge(a, b) + su3.wedge(b, a)).max()
+        symmetry = np.abs(su3.star(a, b) - su3.star(b, a)).max()
+        return [*left, *right, antisymmetry, symmetry]
+
+    return [_result("algebra.bilinearity", _worst(seed, trials, errors).max(), trials)]
 
 
 def check_adjoint(seed, trials):
-    worst_homo = worst_cov = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         first = su3.random_special_unitary(rng)
         second = su3.random_special_unitary(rng)
         a, b = rng.standard_normal((2, 8))
         d1 = su3.adjoint_of(first)
         d2 = su3.adjoint_of(second)
-        worst_homo = max(
-            worst_homo, np.abs(su3.adjoint_of(second @ first) - d2 @ d1).max()
-        )
-        worst_cov = max(
-            worst_cov,
+        return (
+            np.abs(su3.adjoint_of(second @ first) - d2 @ d1).max(),
             np.abs(d1 @ su3.wedge(a, b) - su3.wedge(d1 @ a, d1 @ b)).max(),
             np.abs(d1 @ su3.star(a, b) - su3.star(d1 @ a, d1 @ b)).max(),
         )
+
+    worst = _worst(seed, trials, errors)
     return [
-        _upper("algebra.adjoint_homomorphism", worst_homo, 1e-11, trials),
-        _upper("algebra.product_covariance", worst_cov, 1e-11, trials),
+        _result("algebra.adjoint_homomorphism", worst[0], trials),
+        _result("algebra.product_covariance", worst[1:].max(), trials),
     ]
 
 
@@ -123,114 +167,94 @@ def check_membership(seed, trials):
         states.random_states(np.random.default_rng([seed, 1]), max(trials, 2))
     )
     angles = np.arccos(np.clip(np.einsum("kr,kr->k", ns, other), -1.0, 1.0))
-    excess = max(0.0, angles.max() - 2.0 * np.pi / 3.0)
+    excess = np.maximum(0.0, angles.max() - 2.0 * np.pi / 3.0)
     flipped = -ns
     antipode = np.abs(su3.star(flipped, flipped) - flipped).max(axis=1).min()
     pole_err = np.abs(states.n_vectors_of(np.eye(3)) - states.POLES).max()
     return [
-        _upper("states.membership", max(norm_defect, star_defect), 1e-10, trials),
-        _upper("states.opening_angle_excess", excess, 1e-12, trials),
-        CheckResult(
-            "states.antipode_excluded", float(antipode), 0.5, bool(antipode >= 0.5),
-            trials, lower_bound=True,
-        ),
-        _upper("states.poles", pole_err, 1e-15),
+        _result("states.membership", np.maximum(norm_defect, star_defect), trials),
+        _result("states.opening_angle_excess", excess, trials),
+        _result("states.antipode_excluded", antipode, trials),
+        _result("states.poles", pole_err),
     ]
 
 
 def check_equivariance(seed, trials):
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         rotation = su3.random_special_unitary(rng)
         psi = states.random_state(rng)
         image = su3.adjoint_of(rotation) @ states.n_vector_of(psi)
-        worst = max(worst, np.abs(states.n_vector_of(rotation @ psi) - image).max())
-    return [_upper("states.equivariance", worst, 1e-11, trials)]
+        return np.abs(states.n_vector_of(rotation @ psi) - image).max()
+
+    return [_result("states.equivariance", _worst(seed, trials, errors), trials)]
 
 
 def check_chart_roundtrip(seed, trials):
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         psi = states.random_state(rng)
         while abs(psi[2]) <= 0.1:
             psi = states.random_state(rng)
         back = states.from_octant_coords(states.to_octant_coords(psi))
-        worst = max(worst, abs(abs(np.vdot(psi, back)) ** 2 - 1.0))
         closed = states.n_from_octant_coords(states.to_octant_coords(psi))
-        worst = max(worst, np.abs(closed - states.n_vector_of(psi)).max())
-    return [_upper("states.chart_roundtrip", worst, 1e-10, trials)]
+        return (
+            abs(abs(np.vdot(psi, back)) ** 2 - 1.0),
+            np.abs(closed - states.n_vector_of(psi)).max(),
+        )
+
+    worst = _worst(seed, trials, errors).max()
+    return [_result("states.chart_roundtrip", worst, trials)]
 
 
 def check_geodesics(seed, trials):
-    worst_end = worst_norm = worst_equi = 0.0
-    rank_failures = 0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    failures = []
+
+    def errors(rng):
         pair = _nonorthogonal_states(rng, 2)
-        curve = geodesics.geodesic_between(
-            states.density_of(pair[0]), states.density_of(pair[1])
-        )
+        curve = geodesics.geodesic_between(*map(states.density_of, pair))
         end = curve.endpoint
-        worst_end = max(
-            worst_end,
-            np.abs(np.outer(end, end.conj()) - states.density_of(pair[1])).max(),
-        )
         grid = np.linspace(0.0, curve.length, 50)
         lifts = curve(grid)
-        worst_norm = max(
-            worst_norm,
-            np.abs(np.einsum("ki,ki->k", lifts.conj(), lifts).real - 1.0).max(),
-        )
         ns = states.n_vectors_of(lifts)
         planar, affine_rank = geodesics.planarity_test(ns)
-        if not planar or affine_rank != 2 or geodesics.span_rank(ns) != 3:
-            rank_failures += 1
+        failures.append(not planar or affine_rank != 2 or geodesics.span_rank(ns) != 3)
         unitary = su3.random_special_unitary(rng)
-        mapped = geodesics.geodesic_between(
-            states.density_of(unitary @ pair[0]),
-            states.density_of(unitary @ pair[1]),
-        )
+        mapped = geodesics.geodesic_between(*(states.density_of(unitary @ p) for p in pair))
         image = states.n_vectors_of(mapped(grid))
-        worst_equi = max(
-            worst_equi,
+        return (
+            np.abs(np.outer(end, end.conj()) - states.density_of(pair[1])).max(),
+            np.abs(np.einsum("ki,ki->k", lifts.conj(), lifts).real - 1.0).max(),
             np.abs(image - ns @ su3.adjoint_of(unitary).T).max(),
         )
+
+    worst_end, worst_norm, worst_equi = _worst(seed, trials, errors)
     return [
-        _upper("geodesics.endpoint_roundtrip", worst_end, 1e-10, trials),
-        _upper("geodesics.sample_normalization", worst_norm, 1e-12, trials),
-        _upper("geodesics.planarity_failures", rank_failures, 0, trials),
-        _upper("geodesics.equivariance", worst_equi, 1e-10, trials),
+        _result("geodesics.endpoint_roundtrip", worst_end, trials),
+        _result("geodesics.sample_normalization", worst_norm, trials),
+        _result("geodesics.planarity_failures", sum(failures), trials),
+        _result("geodesics.equivariance", worst_equi, trials),
     ]
 
 
 def check_length_and_zero_phase(seed, trials):
-    worst_len = worst_phase = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         pair = _nonorthogonal_states(rng, 2)
-        curve = geodesics.geodesic_between(
-            states.density_of(pair[0]), states.density_of(pair[1])
-        )
+        curve = geodesics.geodesic_between(*map(states.density_of, pair))
         grid = np.linspace(0.0, curve.length, 2001)
         lifts = curve(grid)
-        worst_len = max(
-            worst_len, abs(geodesics.curve_length(grid, lifts) - curve.length)
+        return (
+            abs(geodesics.curve_length(grid, lifts) - curve.length),
+            abs(phases.geometric_phase_of_curve(grid, lifts).value),
         )
-        worst_phase = max(
-            worst_phase, abs(phases.geometric_phase_of_curve(grid, lifts).value)
-        )
+
+    worst_len, worst_phase = _worst(seed, trials, errors)
     return [
-        _upper("geodesics.length", worst_len, 1e-6, trials),
-        _upper("geodesics.zero_phase", worst_phase, 1e-7, trials),
+        _result("geodesics.length", worst_len, trials),
+        _result("geodesics.zero_phase", worst_phase, trials),
     ]
 
 
 def check_triangle_oracles(seed, trials):
-    worst_trio = worst_line = worst_rephase = worst_su3 = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         # redraw, like the orthogonality screen, until the sides avoid the chart's edge
         while True:
             psis = _nonorthogonal_states(rng)
@@ -246,56 +270,54 @@ def check_triangle_oracles(seed, trials):
         ).value
         barg = phases.bargmann_phase(list(psis)).value
         nvec = phases.pancharatnam_phase_from_n(*ns).value
-        worst_trio = max(
-            worst_trio,
-            phases.phase_distance(closed, barg),
-            phases.phase_distance(closed, nvec),
-            phases.phase_distance(barg, nvec),
-        )
-        worst_line = max(worst_line, phases.phase_distance(line, closed))
         rephased = [p * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for p in psis]
-        worst_rephase = max(
-            worst_rephase,
-            phases.phase_distance(phases.bargmann_phase(rephased).value, barg),
-        )
         unitary = su3.random_special_unitary(rng)
         moved = [states.density_of(unitary @ p) for p in psis]
         invariant = phases.pancharatnam_phase(
             phases.canonicalize_triangle(*moved)
         ).value
-        worst_su3 = max(worst_su3, phases.phase_distance(invariant, closed))
+        return (
+            phases.phase_distance(closed, barg),
+            phases.phase_distance(closed, nvec),
+            phases.phase_distance(barg, nvec),
+            phases.phase_distance(line, closed),
+            phases.phase_distance(phases.bargmann_phase(rephased).value, barg),
+            phases.phase_distance(invariant, closed),
+        )
+
+    worst = _worst(seed, trials, errors)
     return [
-        _upper("phases.closed_form_agreement", worst_trio, 1e-10, trials),
-        _upper("phases.line_integral_agreement", worst_line, 1e-5, trials),
-        _upper("phases.rephasing_invariance", worst_rephase, 1e-12, trials),
-        _upper("phases.su3_invariance", worst_su3, 1e-10, trials),
+        _result("phases.closed_form_agreement", worst[:3].max(), trials),
+        _result("phases.line_integral_agreement", worst[3], trials),
+        _result("phases.rephasing_invariance", worst[4], trials),
+        _result("phases.su3_invariance", worst[5], trials),
     ]
 
 
 def check_evolution_agreement(seed, trials):
-    worst_evo = worst_closure = worst_dyn = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         psis = _nonorthogonal_states(rng)
         rhos = [states.density_of(p) for p in psis]
         closed = phases.pancharatnam_phase(
             phases.canonicalize_triangle(*rhos)
         ).value
         trajectory, evo, closure = evolution.evolve_triangle(*rhos, step=5e-3)
-        worst_evo = max(worst_evo, phases.phase_distance(evo.value, closed))
-        worst_closure = max(worst_closure, closure)
-        worst_dyn = max(worst_dyn, np.abs(trajectory.phi_dyn).max())
+        return (
+            phases.phase_distance(evo.value, closed),
+            closure,
+            np.abs(trajectory.phi_dyn).max(),
+        )
+
+    worst_evo, worst_closure, worst_dyn = _worst(seed, trials, errors)
     return [
-        _upper("phases.evolution_agreement", worst_evo, 1e-6, trials),
-        _upper("evolution.cyclic_closure", worst_closure, 1e-7, trials),
-        _upper("evolution.vanishing_dynamical_phase", worst_dyn, 1e-9, trials),
+        _result("phases.evolution_agreement", worst_evo, trials),
+        _result("evolution.cyclic_closure", worst_closure, trials),
+        _result("evolution.vanishing_dynamical_phase", worst_dyn, trials),
     ]
 
 
 def check_chi2_oddness(seed, trials):
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         xi, eta = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
         zeta = rng.uniform(0.0, np.pi / 2)
         chi2 = rng.uniform(1e-6, np.pi)
@@ -303,14 +325,13 @@ def check_chi2_oddness(seed, trials):
         minus = phases.pancharatnam_phase(
             phases.TriangleParams(xi, eta, zeta, 2.0 * np.pi - chi2)
         )
-        worst = max(worst, phases.phase_distance(plus.value, -minus.value))
-    return [_upper("phases.chi2_oddness", worst, 1e-12, trials)]
+        return phases.phase_distance(plus.value, -minus.value)
+
+    return [_result("phases.chi2_oddness", _worst(seed, trials, errors), trials)]
 
 
 def check_two_level(seed, trials):
-    worst_cos = worst_half = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         xi, eta = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
         chi2 = rng.uniform(0.0, 2.0 * np.pi)
         params = phases.TriangleParams(xi, eta, np.pi / 2, chi2)
@@ -319,18 +340,17 @@ def check_two_level(seed, trials):
         identity = (1.0 + np.cos(a) + np.cos(b) + np.cos(c)) / (
             4.0 * np.cos(a / 2) * np.cos(b / 2) * np.cos(c / 2)
         )
-        worst_cos = max(worst_cos, abs(np.cos(phase) - identity))
-        worst_half = max(worst_half, abs(abs(phase) - 0.5 * solid))
+        return abs(np.cos(phase) - identity), abs(abs(phase) - 0.5 * solid)
+
+    worst_cos, worst_half = _worst(seed, trials, errors)
     return [
-        _upper("phases.two_level_cosine", worst_cos, 1e-10, trials),
-        _upper("phases.two_level_solid_angle", worst_half, 1e-9, trials),
+        _result("phases.two_level_cosine", worst_cos, trials),
+        _result("phases.two_level_solid_angle", worst_half, trials),
     ]
 
 
 def check_two_pictures(seed, trials):
-    worst = worst_norm = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         segments = tuple(
             (
                 geodesics.HamiltonianCoeffs(
@@ -346,20 +366,20 @@ def check_two_pictures(seed, trials):
         by_vector = evolution.integrate_nvector(
             states.n_vector_of(psi0), schedule, 2e-3
         )
-        worst = max(worst, np.abs(by_state.n - by_vector.n).max())
-        worst_norm = max(
-            worst_norm, np.abs(np.linalg.norm(by_vector.n, axis=1) - 1.0).max()
+        return (
+            np.abs(by_state.n - by_vector.n).max(),
+            np.abs(np.linalg.norm(by_vector.n, axis=1) - 1.0).max(),
         )
+
+    worst, worst_norm = _worst(seed, trials, errors)
     return [
-        _upper("evolution.two_pictures", worst, 1e-7, trials),
-        _upper("evolution.adjoint_norm_drift", worst_norm, 1e-8, trials),
+        _result("evolution.two_pictures", worst, trials),
+        _result("evolution.adjoint_norm_drift", worst_norm, trials),
     ]
 
 
 def check_geodesic_generation(seed, trials):
-    worst_end = worst_energy = 0.0
-    for k in range(trials):
-        rng = _rng(seed, k)
+    def errors(rng):
         pair = _nonorthogonal_states(rng, 2)
         na, nb = states.n_vectors_of(pair)
         coeffs = geodesics.constant_hamiltonian(na, nb)
@@ -367,43 +387,30 @@ def check_geodesic_generation(seed, trials):
         schedule = evolution.Schedule(((coeffs, opening),))
         trajectory = evolution.integrate_state(pair[0], schedule, 1e-3)
         final = trajectory.psi[-1]
-        worst_end = max(
-            worst_end,
-            np.abs(np.outer(final, final.conj()) - states.density_of(pair[1])).max(),
-        )
-        matrix = coeffs.matrix()
         energies = np.einsum(
-            "ki,ij,kj->k", trajectory.psi.conj(), matrix, trajectory.psi
+            "ki,ij,kj->k", trajectory.psi.conj(), coeffs.matrix(), trajectory.psi
         ).real
-        worst_energy = max(worst_energy, np.abs(energies).max())
+        return (
+            np.abs(np.outer(final, final.conj()) - states.density_of(pair[1])).max(),
+            np.abs(energies).max(),
+        )
+
+    worst_end, worst_energy = _worst(seed, trials, errors)
     return [
-        _upper("evolution.geodesic_generation", worst_end, 1e-8, trials),
-        _upper("evolution.energy_expectation", worst_energy, 1e-9, trials),
+        _result("evolution.geodesic_generation", worst_end, trials),
+        _result("evolution.energy_expectation", worst_energy, trials),
     ]
 
 
 def check_convergence_order(seed, trials):
     target = np.array([0.0, np.sin(1.0), np.cos(1.0)], dtype=complex)
-    coeffs = geodesics.constant_hamiltonian(
-        states.POLES[2], states.n_vector_of(target)
-    )
+    coeffs = geodesics.constant_hamiltonian(states.POLES[2], states.n_vector_of(target))
+    schedule = evolution.Schedule(((coeffs, 1.0),))
     errors = []
     for step in (0.02, 0.01):
-        schedule = evolution.Schedule(((coeffs, 1.0),))
-        trajectory = evolution.integrate_state(
-            np.array([0.0, 0.0, 1.0], dtype=complex), schedule, step
-        )
-        final = trajectory.psi[-1]
-        errors.append(
-            np.abs(np.outer(final, final.conj()) - np.outer(target, target.conj())).max()
-        )
-    ratio = errors[0] / errors[1]
-    return [
-        CheckResult(
-            "evolution.convergence_order", float(ratio), (12.0, 20.0),
-            bool(12.0 <= ratio <= 20.0),
-        )
-    ]
+        final = evolution.integrate_state(np.eye(3, dtype=complex)[2], schedule, step).psi[-1]
+        errors.append(np.abs(np.outer(final, final.conj()) - states.density_of(target)).max())
+    return [_result("evolution.convergence_order", errors[0] / errors[1])]
 
 
 ALL_CHECKS = (
@@ -425,45 +432,6 @@ ALL_CHECKS = (
 )
 
 
-# Every check with an upper or lower bound, which --tol may override.  The
-# names are fixed per sweep, so overrides are validated before any runs.
-BOUNDED_CHECKS = frozenset(
-    (
-        "algebra.tables",
-        "algebra.trace_orthonormality",
-        "algebra.bilinearity",
-        "algebra.adjoint_homomorphism",
-        "algebra.product_covariance",
-        "states.membership",
-        "states.opening_angle_excess",
-        "states.antipode_excluded",
-        "states.poles",
-        "states.equivariance",
-        "states.chart_roundtrip",
-        "geodesics.endpoint_roundtrip",
-        "geodesics.sample_normalization",
-        "geodesics.planarity_failures",
-        "geodesics.equivariance",
-        "geodesics.length",
-        "geodesics.zero_phase",
-        "phases.closed_form_agreement",
-        "phases.line_integral_agreement",
-        "phases.rephasing_invariance",
-        "phases.su3_invariance",
-        "phases.evolution_agreement",
-        "evolution.cyclic_closure",
-        "evolution.vanishing_dynamical_phase",
-        "phases.chi2_oddness",
-        "phases.two_level_cosine",
-        "phases.two_level_solid_angle",
-        "evolution.two_pictures",
-        "evolution.adjoint_norm_drift",
-        "evolution.geodesic_generation",
-        "evolution.energy_expectation",
-    )
-)
-
-
 def run_all(seed=0, trials=100, overrides=None):
     """Run every sweep; returns a report dict with per-check records.
 
@@ -474,19 +442,16 @@ def run_all(seed=0, trials=100, overrides=None):
     rejected = set(overrides) - BOUNDED_CHECKS
     if rejected:
         raise KeyError(f"no upper or lower bound named {sorted(rejected)}")
-    results = []
-    for check in ALL_CHECKS:
-        results.extend(check(seed, trials))
-    adjusted = []
-    for r in results:
-        if r.name in overrides:
-            tol = float(overrides[r.name])
-            passed = r.value >= tol if r.lower_bound else r.value <= tol
-            r = CheckResult(r.name, r.value, tol, passed, r.trials, r.lower_bound)
-        adjusted.append(r)
+    results = [
+        _result(r.name, r.value, r.trials, float(overrides[r.name]))
+        if r.name in overrides
+        else r
+        for check in ALL_CHECKS
+        for r in check(seed, trials)
+    ]
     return {
         "seed": seed,
         "trials": trials,
-        "results": adjusted,
-        "all_passed": all(r.passed for r in adjusted),
+        "results": results,
+        "all_passed": all(r.passed for r in results),
     }

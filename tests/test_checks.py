@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from triphase import checks, cli, su3
+from triphase import checks, cli, phases, su3
 
 # stdout sha256 and exit code of whole 'check' runs, pinned before the
 # sweeps were rewritten onto one bound table and one per-trial driver
@@ -28,6 +28,8 @@ def test_sweep_redraws_triangles_off_the_chart_edge():
 
 def test_bounded_names_match_the_sweeps():
     report = checks.run_all(seed=0, trials=1)
+    assert [r.name for r in report["results"]] == list(checks.BOUNDS)
+    assert [r.tolerance for r in report["results"]] == list(checks.BOUNDS.values())
     bounded = {
         r.name for r in report["results"] if not isinstance(r.tolerance, tuple)
     }
@@ -66,3 +68,26 @@ def test_check_report_bytes_pinned(capsys):
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+def test_nan_measurement_fails_its_check(monkeypatch):
+    # trial 1 of the two-level sweep measures a NaN solid angle; a running
+    # max(worst, nan) would keep worst and pass the check
+    calls = []
+    original = phases.solid_angle_reduction
+
+    def nan_on_second_trial(params):
+        a, b, c, solid = original(params)
+        calls.append(params)
+        return a, b, c, np.nan if len(calls) == 2 else solid
+
+    monkeypatch.setattr(phases, "solid_angle_reduction", nan_on_second_trial)
+    cosine, half = checks.check_two_level(800, 3)
+    assert len(calls) == 3
+    assert half.name == "phases.two_level_solid_angle"
+    assert np.isnan(half.value) and half.passed is False
+    assert cosine.passed is True
+
+
+def test_nan_fails_every_kind_of_bound():
+    for name in ("algebra.tables", "states.antipode_excluded", "evolution.convergence_order"):
+        assert checks._result(name, np.nan).passed is False

@@ -1,5 +1,9 @@
-"""End-to-end CLI runs through subprocess: output formats, exit codes,
-byte determinism."""
+"""End-to-end CLI runs: output formats, exit codes, byte determinism.
+
+Most runs call cli.main in this process.  A subprocess runs
+`python -m triphase` only where the process itself is under test: the
+cross-run determinism tests and one case for each exit code 0-4.
+"""
 
 import contextlib
 import io
@@ -7,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -14,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphase import checks, cli, states, su3
+from triphase import checks, cli, evolution, geodesics, phases, states, su3
 
 PI_4 = repr(math.pi / 4)
 PI_2 = repr(math.pi / 2)
@@ -27,6 +32,25 @@ def run_cli(*args, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+class Run(NamedTuple):
+    """Exit code and output of one CLI run, named as subprocess names them."""
+
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_in_process(*args):
+    """cli.main(args) in this process; argparse's SystemExit gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return Run(code, out.getvalue(), err.getvalue())
 
 
 def write_state(path, psi):
@@ -45,7 +69,7 @@ def canonical_triangle_file(path):
 
 
 def test_phase_triangle_canonical():
-    proc = run_cli(
+    proc = run_in_process(
         "phase-triangle", "--xi", PI_4, "--eta", PI_4, "--zeta", PI_2, "--chi2", PI_2
     )
     assert proc.returncode == 0
@@ -61,7 +85,9 @@ def test_phase_triangle_canonical():
 
 
 def test_phase_triangle_zero():
-    proc = run_cli("phase-triangle", "--xi", "0.4", "--eta", "0.9", "--zeta", "1.2", "--chi2", "0")
+    proc = run_in_process(
+        "phase-triangle", "--xi", "0.4", "--eta", "0.9", "--zeta", "1.2", "--chi2", "0"
+    )
     assert proc.returncode == 0
     records = [json.loads(line) for line in proc.stdout.strip().split("\n")]
     assert records[0]["phase"] == 0.0
@@ -70,8 +96,6 @@ def test_phase_triangle_zero():
 
 
 def test_phase_triangle_zero_prints_no_negative_zero(capsys):
-    from triphase import cli
-
     argv = ["phase-triangle", "--xi", "0.4", "--eta", "0.9", "--zeta", "1.2", "--chi2", "0"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.strip().split("\n")[:4]
@@ -84,17 +108,21 @@ def test_phase_triangle_deterministic():
 
 
 def test_phase_triangle_bad_angle():
-    proc = run_cli("phase-triangle", "--xi", "2.0", "--eta", "0.3", "--zeta", "0.3", "--chi2", "0")
+    proc = run_in_process(
+        "phase-triangle", "--xi", "2.0", "--eta", "0.3", "--zeta", "0.3", "--chi2", "0"
+    )
     assert proc.returncode == 2
     assert proc.stderr.strip()
-    proc = run_cli("phase-triangle", "--xi", "abc", "--eta", "0.3", "--zeta", "0.3", "--chi2", "0")
+    proc = run_in_process(
+        "phase-triangle", "--xi", "abc", "--eta", "0.3", "--zeta", "0.3", "--chi2", "0"
+    )
     assert proc.returncode == 2
 
 
 def test_phase_bargmann(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)
-    proc = run_cli("phase-bargmann", str(path))
+    proc = run_in_process("phase-bargmann", str(path))
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["method"] == "bargmann"
@@ -106,14 +134,14 @@ def test_phase_bargmann_too_few(tmp_path):
     path = tmp_path / "two.json"
     psi = states.random_state(0)
     path.write_text(json.dumps([states.state_to_json(psi)] * 2))
-    assert run_cli("phase-bargmann", str(path)).returncode == 2
+    assert run_in_process("phase-bargmann", str(path)).returncode == 2
 
 
 def test_geodesic_canonical(tmp_path):
     s1, s2 = tmp_path / "a.json", tmp_path / "b.json"
     write_state(s1, np.array([0.0, 0.0, 1.0], dtype=complex))
     write_state(s2, np.array([0.0, math.sin(1.0), math.cos(1.0)], dtype=complex))
-    proc = run_cli("geodesic", str(s1), str(s2), "--samples", "40")
+    proc = run_in_process("geodesic", str(s1), str(s2), "--samples", "40")
     assert proc.returncode == 0
     lines = proc.stdout.strip().split("\n")
     assert lines[0] == "s,n1,n2,n3,n4,n5,n6,n7,n8"
@@ -134,7 +162,7 @@ def test_geodesic_canonical(tmp_path):
 def test_geodesic_identical_states(tmp_path):
     s1 = tmp_path / "a.json"
     write_state(s1, states.random_state(1))
-    proc = run_cli("geodesic", str(s1), str(s1))
+    proc = run_in_process("geodesic", str(s1), str(s1))
     assert proc.returncode == 0
     lines = proc.stdout.strip().split("\n")
     assert len(lines) == 3
@@ -147,12 +175,12 @@ def test_geodesic_errors(tmp_path):
     write_state(s2, np.array([0.0, 1.0, 0.0], dtype=complex))
     bad.write_text("{not json")
     assert run_cli("geodesic", str(s1), str(s2)).returncode == 3
-    assert run_cli("geodesic", str(s1), str(bad)).returncode == 4
-    assert run_cli("geodesic", str(s1), str(tmp_path / "missing.json")).returncode == 4
-    assert run_cli("geodesic", str(s1), str(s2), "--samples", "1").returncode == 2
+    assert run_in_process("geodesic", str(s1), str(bad)).returncode == 4
+    assert run_in_process("geodesic", str(s1), str(tmp_path / "missing.json")).returncode == 4
+    assert run_in_process("geodesic", str(s1), str(s2), "--samples", "1").returncode == 2
     unnorm = tmp_path / "unnorm.json"
     unnorm.write_text(json.dumps({"re": [1.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]}))
-    assert run_cli("geodesic", str(s1), str(unnorm)).returncode == 4
+    assert run_in_process("geodesic", str(s1), str(unnorm)).returncode == 4
 
 
 def test_nan_component_exits_4(tmp_path):
@@ -167,13 +195,13 @@ def test_nan_component_exits_4(tmp_path):
     s1, bad = tmp_path / "a.json", tmp_path / "nan.json"
     write_state(s1, lifts[0])
     bad.write_text(json.dumps(nan_state))
-    assert run_cli("geodesic", str(s1), str(bad)).returncode == 4
+    assert run_in_process("geodesic", str(s1), str(bad)).returncode == 4
 
 
 def test_evolve_canonical(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)
-    proc = run_cli("evolve", str(path), "--step", "0.002")
+    proc = run_in_process("evolve", str(path), "--step", "0.002")
     assert proc.returncode == 0
     lines = proc.stdout.strip().split("\n")
     header = lines[0].split(",")
@@ -195,10 +223,10 @@ def test_evolve_canonical(tmp_path):
 def test_evolve_errors(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)
-    assert run_cli("evolve", str(path), "--step", "0").returncode == 2
+    assert run_in_process("evolve", str(path), "--step", "0").returncode == 2
     two = tmp_path / "two.json"
     two.write_text(json.dumps([states.state_to_json(states.random_state(0))] * 2))
-    assert run_cli("evolve", str(two)).returncode == 4
+    assert run_in_process("evolve", str(two)).returncode == 4
 
 
 def test_check_passes_and_deterministic():
@@ -217,11 +245,11 @@ def test_check_passes_and_deterministic():
 
 
 def test_check_error_paths():
-    assert run_cli("check", "--trials", "0").returncode == 2
-    assert run_cli("check", "--trials", "2", "--tol", "nope=1").returncode == 2
-    assert run_cli("check", "--trials", "2", "--tol", "algebra.tables").returncode == 2
+    assert run_in_process("check", "--trials", "0").returncode == 2
+    assert run_in_process("check", "--trials", "2", "--tol", "nope=1").returncode == 2
+    assert run_in_process("check", "--trials", "2", "--tol", "algebra.tables").returncode == 2
     # an interval bound has no single tolerance to override
-    interval = run_cli("check", "--trials", "1", "--tol", "evolution.convergence_order=1")
+    interval = run_in_process("check", "--trials", "1", "--tol", "evolution.convergence_order=1")
     assert interval.returncode == 2
     forced = run_cli("check", "--trials", "2", "--tol", "algebra.tables=1e-20")
     assert forced.returncode == 1
@@ -233,32 +261,28 @@ def test_check_error_paths():
 
 def test_out_flag(tmp_path):
     out = tmp_path / "result.json"
-    proc = run_cli(
+    proc = run_in_process(
         "phase-triangle", "--xi", "0.5", "--eta", "0.5", "--zeta", "0.5", "--chi2", "0.5",
         "--out", str(out),
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
-    direct = run_cli(
+    direct = run_in_process(
         "phase-triangle", "--xi", "0.5", "--eta", "0.5", "--zeta", "0.5", "--chi2", "0.5"
     )
     assert out.read_text() == direct.stdout
 
 
 def test_seventeen_digit_roundtrip():
-    proc = run_cli(
+    proc = run_in_process(
         "phase-triangle", "--xi", "0.7", "--eta", "1.1", "--zeta", "0.9", "--chi2", "4.0"
     )
     record = json.loads(proc.stdout.split("\n")[0])
-    from triphase import phases
-
     exact = phases.pancharatnam_phase(phases.TriangleParams(0.7, 1.1, 0.9, 4.0)).value
     assert record["phase"] == exact
 
 
 def test_work_budgets_exit_2_before_allocating(tmp_path, monkeypatch, capsys):
-    from triphase import cli, evolution, geodesics
-
     def never(*args, **kwargs):
         raise AssertionError("work started before the budget was checked")
 
@@ -275,15 +299,13 @@ def test_work_budgets_exit_2_before_allocating(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "budget" in captured.err
-        proc = run_cli(*argv)
+        proc = run_in_process(*argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_check_trials_budget(monkeypatch, capsys):
-    from triphase import checks, cli
-
     swept = []
 
     def run_all(seed, trials, overrides):
@@ -303,9 +325,41 @@ def test_check_trials_budget(monkeypatch, capsys):
     assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_check_rejects_negative_seed(monkeypatch, capsys):
-    from triphase import checks, cli
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(verb=st.sampled_from(["geodesic", "evolve", "check"]), data=st.data())
+def test_over_budget_exits_2_before_any_work(tmp_path_factory, verb, data):
+    tmp = tmp_path_factory.mktemp("budget")
+    tri, s1 = tmp / "tri.json", tmp / "a.json"
+    lifts = canonical_triangle_file(tri)
+    write_state(s1, lifts[0])
+    if verb == "geodesic":
+        samples = data.draw(st.integers(cli.MAX_GEODESIC_SAMPLES + 1, 10**30))
+        argv = ["geodesic", str(s1), str(s1), "--samples", str(samples)]
+    elif verb == "evolve":
+        schedule = evolution.triangle_schedule(*(states.density_of(p) for p in lifts))
+        # at least twice the budget's steps, down to the smallest subnormal step
+        largest = schedule.total_duration / (2 * evolution.MAX_STEPS)
+        step = data.draw(st.floats(0.0, largest, exclude_min=True))
+        argv = ["evolve", str(tri), "--step", repr(step)]
+    else:
+        trials = data.draw(st.integers(cli.MAX_CHECK_TRIALS + 1, 10**30))
+        argv = ["check", "--trials", str(trials)]
 
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+
+    with (
+        mock.patch.object(evolution, "_walk", never),
+        mock.patch.object(geodesics, "geodesic_between", never),
+        mock.patch.object(checks, "run_all", never),
+    ):
+        code, stdout, stderr = run_in_process(*argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "budget" in stderr
+
+
+def test_check_rejects_negative_seed(monkeypatch, capsys):
     def never(**kwargs):
         raise AssertionError("a sweep ran before the seed was checked")
 
@@ -319,8 +373,6 @@ def test_check_rejects_negative_seed(monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_check_rejects_non_finite_tolerance(monkeypatch, capsys, value):
-    from triphase import checks, cli
-
     def never(**kwargs):
         raise AssertionError("a sweep ran before the tolerance was checked")
 
@@ -332,8 +384,6 @@ def test_check_rejects_non_finite_tolerance(monkeypatch, capsys, value):
 
 
 def test_csv_values_are_the_computed_doubles(tmp_path):
-    from triphase import cli, evolution, geodesics
-
     tri, out = tmp_path / "tri.json", tmp_path / "out.csv"
     lifts = canonical_triangle_file(tri)
     assert cli.main(["evolve", str(tri), "--step", "0.01", "--out", str(out)]) == 0
@@ -363,8 +413,6 @@ def test_csv_values_are_the_computed_doubles(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
-    from triphase import cli
-
     tri, s1, s2 = tmp_path / "tri.json", tmp_path / "a.json", tmp_path / "b.json"
     lifts = canonical_triangle_file(tri)
     write_state(s1, lifts[0])
@@ -381,14 +429,6 @@ def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
     for k, argv in enumerate(runs):
         assert cli.main(argv + ["--out", str(tmp_path / f"split{k}.csv")]) == 0
         assert (tmp_path / f"split{k}.csv").read_bytes() == whole[k]
-
-
-def run_in_process(argv):
-    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_parser_built_once_and_handler_looked_up_per_call(monkeypatch):
@@ -426,7 +466,7 @@ def test_non_finite_state_component_exits_4(
         inputs = [tmp / "states.json"]
         inputs[0].write_text(json.dumps(objs))
     out = tmp / "out.txt"
-    code, stdout, stderr = run_in_process([verb, *map(str, inputs), "--out", str(out)])
+    code, stdout, stderr = run_in_process(verb, *map(str, inputs), "--out", str(out))
     assert code == 4
     assert stdout == "" and not out.exists()
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
@@ -462,7 +502,7 @@ def test_rejected_tol_exits_2_before_any_sweep(accepted, rejected, position):
         raise AssertionError("a sweep ran before the overrides were checked")
 
     with mock.patch.object(checks, "run_all", never):
-        code, stdout, stderr = run_in_process(argv)
+        code, stdout, stderr = run_in_process(*argv)
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1

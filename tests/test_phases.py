@@ -238,6 +238,23 @@ def test_branch_cut_at_chi2_pi():
         assert phases.principal_branch(angle) == wrapped
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    angle=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(10**6), 10**6).map(lambda k: k * np.pi),
+        st.sampled_from([-np.pi, np.pi, -0.0, np.nextafter(-np.pi, 0.0), 3 * np.pi]),
+    )
+)
+def test_principal_branch_lies_in_half_open_interval(angle):
+    value = phases.principal_branch(angle)
+    assert -np.pi < value <= np.pi
+    assert not np.signbit(value) or value < 0.0  # zero is unsigned
+    # the same point on the circle
+    assert abs(np.sin(value) - np.sin(angle)) < 1e-12
+    assert abs(np.cos(value) - np.cos(angle)) < 1e-12
+
+
 def chart_states(theta, phi, chi1, chi2):
     st = np.sin(theta)
     return np.stack(
