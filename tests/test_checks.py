@@ -7,8 +7,8 @@ import pytest
 
 from triphase import checks, cli, phases, su3
 
-# stdout sha256 and exit code of whole 'check' runs, pinned before the
-# sweeps were rewritten onto one bound table and one per-trial driver
+# stdout sha256 and exit code of whole 'check' runs; a change to how the
+# sweeps are written must leave every byte of the report as it is
 PINNED_REPORTS = {
     ("--seed", "3", "--trials", "5"): (
         0, "79ab978492b78e69754f382d38df600827085faa4143e442e058fba1c25528b0"
