@@ -13,7 +13,6 @@ from .errors import (
     CoincidentEndpoints,
     DegenerateTriangle,
     InvalidStep,
-    NotClosed,
     NotInSubspace,
     NotNormalized,
     NotOnO,
@@ -48,7 +47,6 @@ from .geodesics import (
     planarity_test,
     polygon_lift,
     polygon_sides,
-    sample_curve_in_O,
     span_rank,
 )
 from .phases import (
@@ -59,7 +57,6 @@ from .phases import (
     canonicalize_triangle,
     dynamical_phase,
     geometric_phase_of_curve,
-    line_integral_phase_from_states,
     pancharatnam_phase,
     pancharatnam_phase_from_n,
     phase_distance,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution, geodesics, phases, states, su3
-from .errors import ChartSingular
+from .errors import ChartSingular, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ BOUNDS = {
     "geodesics.length": 1e-6,
     "geodesics.zero_phase": 1e-7,
     "phases.closed_form_agreement": 1e-10,
-    "phases.line_integral_agreement": 1e-5,
+    "phases.line_integral_agreement": 1e-11,
     "phases.rephasing_invariance": 1e-12,
     "phases.su3_invariance": 1e-10,
     "phases.evolution_agreement": 1e-6,
@@ -435,9 +435,12 @@ ALL_CHECKS = (
 def run_all(seed=0, trials=100, overrides=None):
     """Run every sweep; returns a report dict with per-check records.
 
-    Raises KeyError, before any sweep runs, if overrides names a check
-    that is unknown or has an interval bound.
+    Raises, before any sweep runs, OutOfRange if trials is below 1 and
+    KeyError if overrides names a check that is unknown or has an
+    interval bound.
     """
+    if trials < 1:
+        raise OutOfRange(f"trials = {trials}, need at least 1")
     overrides = dict(overrides or {})
     rejected = set(overrides) - BOUNDED_CHECKS
     if rejected:

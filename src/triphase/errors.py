@@ -61,10 +61,6 @@ class TooFewSamples(TriphaseError):
     """Not enough samples for the requested quadrature or rank test."""
 
 
-class NotClosed(TriphaseError):
-    """Curve expected to be a closed loop is not closed."""
-
-
 class InvalidStep(TriphaseError):
     """Integrator step size must be positive and finite."""
 

@@ -130,14 +130,6 @@ def polygon_lift(sides, per_arc=2000):
     ]
 
 
-def sample_curve_in_O(curve, count):
-    """Eight-vectors of count equally spaced samples of a geodesic."""
-    if count < 2:
-        raise TooFewSamples("need at least two samples")
-    s = np.linspace(0.0, curve.length, count)
-    return states.n_vectors_of(curve(s))
-
-
 def curve_length(s, psis):
     """Length of a sampled curve under the Fubini-Study functional.
 

