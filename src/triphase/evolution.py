@@ -308,9 +308,7 @@ def triangle_schedule(rho1, rho2, rho3):
     duration equal to the side's opening angle, so the dynamical phase
     vanishes along the whole loop.
     """
-    ns = [
-        states.n_vector_of(states.lift_of_density(r)) for r in (rho1, rho2, rho3)
-    ]
+    ns = [states.n_vector_of(psi) for psi in states.lift_of_density([rho1, rho2, rho3])]
     segments = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
         coeffs = geodesics.constant_hamiltonian(ns[a], ns[b])

@@ -78,12 +78,16 @@ def _unit_vector_orthogonal_to(psi):
     return v / np.linalg.norm(v)
 
 
-def _geodesic_from_in_phase(psi1, psi2):
-    c = np.vdot(psi1, psi2).real
-    if 1.0 - c * c < COINCIDENT_TOL:
-        return GeodesicCurve(psi1, _unit_vector_orthogonal_to(psi1), 0.0)
-    tangent = (psi2 - c * psi1) / np.sqrt(1.0 - c * c)
-    return GeodesicCurve(psi1, tangent, float(np.arccos(np.clip(c, -1.0, 1.0))))
+def _geodesics_from_in_phase(starts, ends):
+    # a curve per row of two (k, 3) in-phase stacks; coincident rows get length arccos(1) = 0
+    c = np.vecdot(starts, ends).real
+    sin2 = 1.0 - c * c
+    coincident = sin2 < COINCIDENT_TOL
+    tangents = (ends - c[:, None] * starts) / np.sqrt(np.maximum(sin2, COINCIDENT_TOL))[:, None]
+    for row in coincident.nonzero()[0]:
+        tangents[row] = _unit_vector_orthogonal_to(starts[row])
+    lengths = np.arccos(np.where(coincident, 1.0, c)).tolist()
+    return [GeodesicCurve(*side) for side in zip(starts, tangents, lengths)]
 
 
 def geodesic_between(rho1, rho2):
@@ -92,7 +96,7 @@ def geodesic_between(rho1, rho2):
     Coincident endpoints give a degenerate curve of length 0.
     """
     psi1, psi2 = in_phase_lift(rho1, rho2)
-    return _geodesic_from_in_phase(psi1, psi2)
+    return _geodesics_from_in_phase(psi1[None], psi2[None])[0]
 
 
 def polygon_sides(rhos):
@@ -105,18 +109,14 @@ def polygon_sides(rhos):
     """
     if len(rhos) < 3:
         raise TooFewSamples("a polygon needs at least three vertices")
-    lifts = list(states.lift_of_density(rhos))
-    sides = []
-    current = lifts[0]
-    for nxt in lifts[1:] + [lifts[0]]:
-        ip = states.nonorthogonal(np.vdot(current, nxt), OrthogonalEndpoints)
-        ahead = nxt * np.exp(-1j * np.angle(ip))
-        sides.append(_geodesic_from_in_phase(current, ahead))
-        current = ahead
-    return sides
+    chain = states.lift_of_density(rhos)[[*range(len(rhos)), 0]]  # a copy, closed by lift 0
+    for row in range(1, len(chain)):  # each rephasing needs the one before
+        ip = states.nonorthogonal(np.vdot(chain[row - 1], chain[row]), OrthogonalEndpoints)
+        chain[row] *= np.exp(-1j * np.angle(ip))
+    return _geodesics_from_in_phase(chain[:-1], chain[1:])
 
 
-def polygon_lift(sides, per_arc=2000):
+def polygon_lift(sides, per_arc):
     """(s, psi_samples) of each polygon_sides side: linspace(0, length, per_arc) and the
     curve's doubles there, psi_samples the (per_arc, 3) transpose of a (3, per_arc) block."""
     if per_arc < 2:
@@ -124,10 +124,10 @@ def polygon_lift(sides, per_arc=2000):
     lengths = np.array([g.length for g in sides])
     grids = np.arange(per_arc, dtype=float) * (lengths / (per_arc - 1))[:, None]
     grids[:, -1] = lengths
-    return [
-        (s, (np.multiply.outer(g.psi0, c) + np.multiply.outer(g.tangent, sn)).T)
-        for s, c, sn, g in zip(grids, np.cos(grids), np.sin(grids), sides)
-    ]
+    starts, tangents = np.array([g.psi0 for g in sides]), np.array([g.tangent for g in sides])
+    cos, sin = np.cos(grids)[:, None], np.sin(grids)[:, None]
+    block = starts[..., None] * cos + tangents[..., None] * sin
+    return [(s, b.T) for s, b in zip(grids, block)]
 
 
 def curve_length(s, psis):

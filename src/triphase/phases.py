@@ -177,22 +177,19 @@ def canonicalize_triangle(rho1, rho2, rho3):
     global SU(3) rotation.
     """
     lifts = states.lift_of_density([rho1, rho2, rho3])
-    ip12 = np.vdot(lifts[0], lifts[1])
-    ip23 = np.vdot(lifts[1], lifts[2])
-    ip31 = np.vdot(lifts[2], lifts[0])
-    for ip in (ip12, ip23, ip31):
-        states.nonorthogonal(ip, OrthogonalPair)
-    xi = float(np.arccos(np.clip(abs(ip12), 0.0, 1.0)))
-    eta = float(np.arccos(np.clip(abs(ip31), 0.0, 1.0)))
+    ips = np.vecdot(lifts, lifts[[1, 2, 0]])
+    ip12, ip23, ip31 = (states.nonorthogonal(ip, OrthogonalPair) for ip in ips)
+    # np.hypot gives scalar abs's doubles (np.abs rounds differently) and is never below 0
+    xi, _, eta = np.arccos(np.minimum(np.hypot(ips.real, ips.imag), 1.0)).tolist()
     if xi < 1e-8 or eta < 1e-8:
         raise DegenerateTriangle(
             f"vertex coincides with the base vertex (xi = {xi:.2e}, eta = {eta:.2e})"
         )
     bargmann = ip12 * ip23 * ip31
     w = bargmann.conjugate() / (np.cos(xi) * np.cos(eta)) - np.cos(xi) * np.cos(eta)
-    sin_zeta = np.clip(abs(w) / (np.sin(xi) * np.sin(eta)), 0.0, 1.0)
+    sin_zeta = min(abs(w) / (np.sin(xi) * np.sin(eta)), 1.0)  # never below 0
     zeta = float(np.arcsin(sin_zeta))
-    chi2 = float(-np.angle(w) % (2 * np.pi)) if abs(w) > 1e-15 else 0.0
+    chi2 = states.fold_angle(-np.angle(w)) if abs(w) > 1e-15 else 0.0
     return TriangleParams(xi, eta, zeta, chi2)
 
 
@@ -232,7 +229,8 @@ def pancharatnam_phase_from_n(n1, n2, n3):
     Tr(rho1 rho2 rho3) = (denominator + i numerator) / 9; the trace meets
     the same orthogonality cutoff as the other oracles.
     """
-    num, den = wedge_star_phase_terms(*(states.assert_on_O(n) for n in (n1, n2, n3)))
+    states.assert_on_O([n1, n2, n3])  # the terms keep the caller's strides, which round dots
+    num, den = wedge_star_phase_terms(n1, n2, n3)
     trace = states.nonorthogonal(complex(den, num) / 9.0, OrthogonalPair)
     return PhaseResult(_closed_at_pi(float(-np.angle(trace))), "n-vector")
 
@@ -300,7 +298,7 @@ def triangle_line_integral_phase(rho1, rho2, rho3):
     """
     sides = geodesics.polygon_sides([rho1, rho2, rho3])
     scan = geodesics.polygon_lift(sides, per_arc=200)
-    closest = min(np.abs(p[:, 2]).min() for _, p in scan)
+    closest = np.abs(np.array([p[:, 2] for _, p in scan])).min()
     if closest <= 2e-4:
         raise ChartSingular(f"triangle reaches |psi_3| = {closest:.3e}; chart breaks down")
     return PhaseResult(principal_branch(_sides_line_integral(sides)), "line-integral")

@@ -114,14 +114,16 @@ def density_from_n(n):
 
 def assert_on_O(n, tol=PURITY_TOL):
     """Return n as floats, or raise NotOnO when its norm or star defect
-    (|n.n - 1| and max |n * n - n|) exceeds tol."""
+    (|n.n - 1| and max |n * n - n|) exceeds tol.  A (k, 8) stack raises
+    the single call's error for its first row off O."""
     n = np.asarray(n, dtype=float)
-    norm_defect = abs(n @ n - 1.0)
-    star_defect = np.abs(su3.star(n, n) - n).max()
-    if not (norm_defect <= tol and star_defect <= tol):
-        raise NotOnO(
-            f"norm defect {norm_defect:.3e}, star defect {star_defect:.3e} exceed {tol:.1e}"
-        )
+    norm_defect = abs(np.vecdot(n, n, keepdims=True) - 1.0)
+    star_defect = abs(su3.star(n, n) - n).max(axis=-1, keepdims=True)
+    worst = np.maximum(norm_defect, star_defect).ravel()
+    if not worst.max() <= tol:
+        row = int((~(worst <= tol)).argmax())  # the first row off O, a NaN one too
+        defects = norm_defect.flat[row], star_defect.flat[row], tol
+        raise NotOnO("norm defect {:.3e}, star defect {:.3e} exceed {:.1e}".format(*defects))
     return n
 
 
@@ -147,14 +149,14 @@ def lift_of_density(rho, tol=PURITY_TOL):
                 message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
                 raise ValueError(message.format(*defects))
     tops = np.linalg.eigh(r)[1][..., -1]
-    return _gauged(tops) if r.ndim == 2 else np.array([_gauged(psi) for psi in tops])
+    return _gauged(tops) if r.ndim == 3 else _gauged(tops[None])[0]
 
 
-def _gauged(psi):
-    # a scalar factor and norm per row: the array forms round differently
-    j = int(np.abs(psi).argmax())
-    psi = psi * (psi[j].conjugate() / abs(psi[j]))
-    return psi / np.linalg.norm(psi)
+def _gauged(tops):
+    # a (k, 3) stack at once; np.hypot and real vecdots round like scalar abs and linalg.norm
+    top = tops[np.arange(len(tops)), np.abs(tops).argmax(axis=1), None]
+    psi = tops * (top.conj() / np.hypot(top.real, top.imag))
+    return psi / np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
 
 
 def state_from_n(n, tol=PURITY_TOL):
@@ -164,9 +166,9 @@ def state_from_n(n, tol=PURITY_TOL):
 
 def overlap(n1, n2):
     """Transition probability Tr(rho1 rho2) = (1 + 2 n1.n2) / 3, clipped to [0, 1]."""
-    n1 = assert_on_O(n1)
-    n2 = assert_on_O(n2)
-    return float(np.clip((1.0 + 2.0 * n1 @ n2) / 3.0, 0.0, 1.0))
+    assert_on_O([n1, n2])  # the dot takes the caller's arrays: it rounds by their strides
+    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    return float(min(max((1.0 + 2.0 * n1 @ n2) / 3.0, 0.0), 1.0))
 
 
 def nonorthogonal(amplitude, error):
@@ -191,6 +193,11 @@ class OctantCoordinates:
     chi2_defined: bool = True
 
 
+def fold_angle(angle):
+    """angle % 2 pi in [0, 2 pi): a second % folds the 2 pi a tiny negative angle rounds to."""
+    return float(angle % (2 * np.pi) % (2 * np.pi))
+
+
 def to_octant_coords(psi):
     """Chart angles of a state with psi_3 away from zero.
 
@@ -207,8 +214,8 @@ def to_octant_coords(psi):
     chi1_defined = m1 > COMPONENT_TOL
     chi2_defined = m2 > COMPONENT_TOL
     phi = float(np.arctan2(m2, m1)) if phi_defined else 0.0
-    chi1 = float(np.angle(g[0]) % (2 * np.pi)) if chi1_defined else 0.0
-    chi2 = float(np.angle(g[1]) % (2 * np.pi)) if chi2_defined else 0.0
+    chi1 = fold_angle(np.angle(g[0])) if chi1_defined else 0.0
+    chi2 = fold_angle(np.angle(g[1])) if chi2_defined else 0.0
     return OctantCoordinates(
         float(theta), phi, chi1, chi2, phi_defined, chi1_defined, chi2_defined
     )

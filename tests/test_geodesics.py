@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triphase import geodesics, phases, states, su3
+from triphase import checks, geodesics, phases, states, su3
 from triphase.errors import (
     CoincidentEndpoints,
     OrthogonalEndpoints,
@@ -252,6 +252,8 @@ def test_polygon_lift_rows_are_the_curves_doubles():
     rhos = [states.density_of(p) for p in (psis[0], psis[0], psis[1], third)]
     sides = geodesics.polygon_sides(rhos)
     assert sides[0].length == 0.0 and min(g.length for g in sides[1:]) > 0.0
+    with pytest.raises(TypeError):  # every caller names its sample count
+        geodesics.polygon_lift(sides)
     for per_arc in (2, 7, 1201):
         pieces = geodesics.polygon_lift(sides, per_arc)
         for side, (s, lift) in zip(sides, pieces):
@@ -265,3 +267,35 @@ def test_polygon_lift_rows_are_the_curves_doubles():
                 for part in ("real", "imag"):
                     got, ref = getattr(row, part), getattr(expected, part)
                     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _sides_reference(rhos):
+    # the per-side loop, one vdot, arccos and tangent at a time, written out
+    lifts = list(states.lift_of_density(rhos))
+    sides, current = [], lifts[0]
+    for nxt in lifts[1:] + [lifts[0]]:
+        ahead = nxt * np.exp(-1j * np.angle(np.vdot(current, nxt)))
+        c = np.vdot(current, ahead).real
+        if 1.0 - c * c < geodesics.COINCIDENT_TOL:
+            sides.append((current, geodesics._unit_vector_orthogonal_to(current), 0.0))
+        else:
+            tangent = (ahead - c * current) / np.sqrt(1.0 - c * c)
+            sides.append((current, tangent, float(np.arccos(np.clip(c, -1.0, 1.0)))))
+        current = ahead
+    return sides
+
+
+def test_stacked_sides_match_the_per_side_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    polygons = [[states.density_of(p) for p in checks._nonorthogonal_states(rng)]
+                for _ in range(1000)]
+    polygons.append([polygons[0][0], polygons[0][0], polygons[0][1]])  # a coincident side
+    for rhos in polygons:
+        want = _sides_reference(rhos)
+        # polygon_sides stacks three sides, geodesic_between one
+        for curves in (geodesics.polygon_sides(rhos), [geodesics.geodesic_between(*rhos[:2])]):
+            for curve, (psi0, tangent, length) in zip(curves, want):
+                assert np.array_equal(curve.psi0.view(np.uint64), psi0.view(np.uint64))
+                assert np.array_equal(curve.tangent.view(np.uint64), tangent.view(np.uint64))
+                assert np.float64(curve.length).view(np.uint64) == np.float64(length).view(np.uint64)
+    assert want[0][2] == 0.0

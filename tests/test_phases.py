@@ -175,6 +175,41 @@ def test_canonicalize_guards():
         phases.canonicalize_triangle(e1, e1, third)
 
 
+# float.hex of canonicalize_triangle's (xi, eta, zeta, chi2) for the Haar triangles
+# checks._nonorthogonal_states(default_rng([PINNED_SEED, k])); PINNED_SEED is below
+PINNED_PARAMS = {
+    0: ("0x1.3cfdee9f4a83dp-1", "0x1.655b8d7c8670ap-1", "0x1.22a90f0da7ef1p-2", "0x1.ac93d25370e0fp+1"),
+    1: ("0x1.a6adb2e5a765cp-1", "0x1.695e65195611cp-1", "0x1.232458fa1c31bp-1", "0x1.10d45b79c4c56p+1"),
+    2: ("0x1.bbea6f9f05a9ep-1", "0x1.f17e37dac6955p-2", "0x1.03aec827728d7p+0", "0x1.17b953dcd1758p+2"),
+    3: ("0x1.104923efe3dc8p+0", "0x1.afc94e8bfe404p-2", "0x1.09deba6a5274fp+0", "0x1.bdf742472fc96p-1"),
+    4: ("0x1.2fdb9480005a5p-2", "0x1.7d36fb3bdc0f5p-1", "0x1.3c136b4b47ca8p-2", "0x1.22636498d369ap+2"),
+}
+
+
+def test_canonicalize_pinned_doubles():
+    for k, pinned in PINNED_PARAMS.items():
+        psis = checks._nonorthogonal_states(np.random.default_rng([PINNED_SEED, k]))
+        params = phases.canonicalize_triangle(*(states.density_of(p) for p in psis))
+        assert tuple(v.hex() for v in (params.xi, params.eta, params.zeta, params.chi2)) == pinned
+
+
+def test_canonicalize_zero_phase_triangles_fold_chi2_into_range():
+    # real vertices, each rephased: the phase is 0 or pi, so w sits on the real
+    # axis and a tiny negative arg w used to fold chi2 to exactly 2 pi
+    rng = np.random.default_rng(0)
+    vecs = rng.standard_normal((2000, 3, 3))
+    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+    psis = vecs * np.exp(1j * rng.uniform(0, 2 * np.pi, (2000, 3)))[..., None]
+    folded = 0
+    for triangle in psis:
+        params = phases.canonicalize_triangle(*(states.density_of(p) for p in triangle))
+        assert 0.0 <= params.chi2 < 2 * np.pi
+        folded += params.chi2 == 0.0
+        closed = phases.pancharatnam_phase(params).value
+        assert phases.phase_distance(closed, phases.bargmann_phase(triangle).value) < 1e-9
+    assert folded > 0
+
+
 def test_n_vector_oracle_matches():
     rng = np.random.default_rng(6)
     for _ in range(40):

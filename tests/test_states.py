@@ -136,6 +136,20 @@ def test_assert_on_O():
         states.assert_on_O(n)
 
 
+def test_stacked_on_O_raises_the_first_row_off_O():
+    ns = states.n_vectors_of(states.random_states(14, 4))
+    assert states.assert_on_O(ns) is not None
+    nan_row = ns[0].copy()
+    nan_row[3] = np.nan
+    for bad in (-ns[1], np.zeros(8), nan_row):
+        with pytest.raises(NotOnO) as single:
+            states.assert_on_O(bad)
+        for stack in ([ns[0], bad, -ns[2]], [bad, ns[3]]):
+            with pytest.raises(NotOnO) as stacked:
+                states.assert_on_O(stack)
+            assert str(stacked.value) == str(single.value)
+
+
 def test_state_from_n_inverts():
     rng = np.random.default_rng(9)
     for _ in range(30):
@@ -192,6 +206,18 @@ def test_octant_singular_and_ranges():
         states.from_octant_coords(states.OctantCoordinates(0.3, -0.1, 0.1, 0.1))
     with pytest.raises(OutOfRange):
         states.from_octant_coords(states.OctantCoordinates(0.3, 0.1, 7.0, 0.1))
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_octant_tiny_negative_chi_folds_to_zero(slot):
+    # arg psi_k = -1e-17 used to fold to exactly 2 pi, which the chart rejects
+    psi = np.zeros(3, dtype=complex)
+    psi[slot], psi[2] = 0.6 * np.exp(-1e-17j), 0.8
+    coords = states.to_octant_coords(psi)
+    assert (coords.chi1, coords.chi2) == (0.0, 0.0)
+    back = states.from_octant_coords(coords)
+    assert abs(abs(np.vdot(psi, back)) ** 2 - 1.0) < 1e-15
+    assert np.abs(states.n_from_octant_coords(coords) - states.n_vector_of(psi)).max() < 1e-15
 
 
 def test_octant_undefined_flags():
@@ -266,6 +292,27 @@ def test_stacked_lift_matches_single_calls_bit_for_bit():
     # a list of matrices is a stack too, and so is a stack of one
     assert np.array_equal(states.lift_of_density(list(rhos[:3])), stacked[:3])
     assert np.array_equal(states.lift_of_density(rhos[:1]), stacked[:1])
+
+
+def _gauge_reference(psi):
+    # the per-row gauge as a scalar factor and np.linalg.norm, written out
+    j = int(np.abs(psi).argmax())
+    psi = psi * (psi[j].conjugate() / abs(psi[j]))
+    return psi / np.linalg.norm(psi)
+
+
+def test_stacked_lift_matches_the_per_row_gauge_bit_for_bit():
+    rng = np.random.default_rng(15)
+    z = rng.standard_normal((12_000, 3)) + 1j * rng.standard_normal((12_000, 3))
+    z[::3, 0] = 0.0  # an exact-zero component in every third row ...
+    z[1::3, 2] = 0.0
+    z[2::6, 1] = 1j * z[2::6, 0]  # ... and two components of equal modulus
+    psis = np.concatenate([z / np.linalg.norm(z, axis=1, keepdims=True), _tie_states()])
+    rhos = np.einsum("ki,kj->kij", psis, psis.conj())
+    want = np.array([_gauge_reference(top) for top in np.linalg.eigh(rhos)[1][..., -1]])
+    assert np.array_equal(states.lift_of_density(rhos).view(np.uint64), want.view(np.uint64))
+    for rho, row in zip(rhos[::60], want[::60]):
+        assert np.array_equal(states.lift_of_density(rho).view(np.uint64), row.view(np.uint64))
 
 
 def test_stacked_lift_raises_the_first_failing_matrix():
