@@ -323,7 +323,7 @@ def evolve_triangle(rho1, rho2, rho3, step=1e-3):
     integrated lift, and the closure defect is |Tr(rho_final rho_initial) - 1|.
     """
     schedule = triangle_schedule(rho1, rho2, rho3)
-    psi0 = states.lift_of_density(rho1)
+    psi0 = states.lift_of_density([rho1, rho2, rho3])[0]  # the schedule's lift, memoised
     trajectory = integrate_state(psi0, schedule, step)
     closure = abs(abs(np.vdot(psi0, trajectory.psi[-1])) ** 2 - 1.0)
     value = principal_branch(trajectory.phi_p[-1] - trajectory.phi_dyn[-1])

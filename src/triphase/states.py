@@ -120,11 +120,16 @@ def assert_on_O(n, tol=PURITY_TOL):
     norm_defect = abs(np.vecdot(n, n, keepdims=True) - 1.0)
     star_defect = abs(su3.star(n, n) - n).max(axis=-1, keepdims=True)
     worst = np.maximum(norm_defect, star_defect).ravel()
-    if not worst.max() <= tol:
+    if not (worst <= tol).all():  # an empty stack passes
         row = int((~(worst <= tol)).argmax())  # the first row off O, a NaN one too
         defects = norm_defect.flat[row], star_defect.flat[row], tol
         raise NotOnO("norm defect {:.3e}, star defect {:.3e} exceed {:.1e}".format(*defects))
     return n
+
+
+_last_lift = None
+"""(key, lifts) of the last successful lift_of_density call on at most three matrices.
+Replaced whole and never written into, so a reader always sees a matching pair."""
 
 
 def lift_of_density(rho, tol=PURITY_TOL):
@@ -133,10 +138,24 @@ def lift_of_density(rho, tol=PURITY_TOL):
     The gauge makes the largest-modulus component real and positive.  A
     (k, 3, 3) stack gives (k, 3) lifts, row for row the single calls' doubles,
     and raises the single call's error for its first impure matrix.
+
+    The last successful call on one matrix or a stack of at most three is
+    memoised, so the routes that lift one triangle's vertices share one
+    eigh.  The key is the exact input: the shape and bytes of the complex
+    array, and tol.  A hit returns a fresh copy of the stored lifts.  A
+    larger stack is neither looked up nor stored, and a call that raises
+    leaves the stored entry in place.
     """
+    global _last_lift
     r = np.asarray(rho, dtype=complex)
-    if r.shape[-2:] != (3, 3) or r.ndim > 3:
+    if r.shape[-2:] != (3, 3) or r.ndim > 3 or r.size == 0:
         raise ValueError(f"density matrix must have shape (3, 3) or (k, 3, 3), got {r.shape}")
+    memo = len(r) <= 3  # a single matrix has three rows, so only larger stacks bypass
+    if memo:
+        key = (r.shape, r.tobytes(), tol)
+        last = _last_lift
+        if last is not None and last[0] == key:
+            return last[1].copy()
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
         hermiticity = np.abs(r - r.conj().swapaxes(-1, -2))
         purity = np.abs(r @ r - r)
@@ -149,7 +168,10 @@ def lift_of_density(rho, tol=PURITY_TOL):
                 message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
                 raise ValueError(message.format(*defects))
     tops = np.linalg.eigh(r)[1][..., -1]
-    return _gauged(tops) if r.ndim == 3 else _gauged(tops[None])[0]
+    lifts = _gauged(tops) if r.ndim == 3 else _gauged(tops[None])[0]
+    if memo:
+        _last_lift = key, lifts.copy()
+    return lifts
 
 
 def _gauged(tops):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triphase import states, su3
+from triphase import evolution, phases, states, su3
 from triphase.errors import (
     ChartSingular,
     NotInSubspace,
@@ -134,6 +134,8 @@ def test_assert_on_O():
     n[3] = np.nan
     with pytest.raises(NotOnO):
         states.assert_on_O(n)
+    empty = np.zeros((0, 8))  # every row of an empty stack is on O
+    assert states.assert_on_O(empty) is empty
 
 
 def test_stacked_on_O_raises_the_first_row_off_O():
@@ -327,7 +329,7 @@ def test_stacked_lift_raises_the_first_failing_matrix():
             states.lift_of_density(stack)
         assert "not a pure-state density matrix" in str(single.value)
         assert str(stacked.value) == str(single.value)
-    for shape in ((3,), (2, 2), (2, 3, 2), (1, 2, 3, 3)):
+    for shape in ((3,), (2, 2), (2, 3, 2), (1, 2, 3, 3), (0, 3, 3)):
         with pytest.raises(ValueError, match="shape"):
             states.lift_of_density(np.zeros(shape))
 
@@ -344,3 +346,123 @@ def test_non_finite_density_raises_value_error(value, entry):
         with pytest.raises(ValueError) as stacked:
             states.lift_of_density(stack)
         assert str(stacked.value) == str(single.value)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Clear the lift memo and record the input shape of every np.linalg.eigh call."""
+    monkeypatch.setattr(states, "_last_lift", None)
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _triangle_densities(seed):
+    return np.array([states.density_of(p) for p in states.random_states(seed, 3)])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_lift_memo_hit_returns_the_fresh_doubles(eigh_calls):
+    ties = np.array([states.density_of(p) for p in _tie_states()])
+    haar = [_triangle_densities(seed) for seed in range(40)]
+    inputs = haar + [ties[:3], ties[2:], ties[[0, 3, 4]], ties[:2], *ties]
+    for rhos in inputs:
+        fresh = states.lift_of_density(rhos)
+        assert len(eigh_calls) == 1
+        for hit in (states.lift_of_density(rhos), states.lift_of_density(list(rhos))):
+            assert hit.shape == fresh.shape and np.array_equal(_bits(hit), _bits(fresh))
+        assert len(eigh_calls) == 1
+        eigh_calls.clear()
+
+
+def test_lift_memo_returns_new_arrays_that_writes_do_not_reach(eigh_calls):
+    rhos, other = _triangle_densities(31), _triangle_densities(32)
+    want, want_other = states.lift_of_density(rhos), states.lift_of_density(other)
+    first = states.lift_of_density(rhos)
+    second = states.lift_of_density(rhos)  # a hit
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(second, states._last_lift[1])
+    first[:] = 0.0
+    second[1] = np.nan
+    assert np.array_equal(_bits(states.lift_of_density(rhos)), _bits(want))
+    # the key is a copy of the input, so a write into the input makes the next call miss
+    kept = rhos.copy()
+    rhos[:] = other
+    assert np.array_equal(_bits(states.lift_of_density(rhos)), _bits(want_other))
+    rhos[:] = kept
+    assert np.array_equal(_bits(states.lift_of_density(rhos)), _bits(want))
+    listed = [rho.copy() for rho in kept]  # the same key as rhos, so a hit
+    assert np.array_equal(_bits(states.lift_of_density(listed)), _bits(want))
+    listed[1][:] = other[1]
+    moved = states.lift_of_density(listed)
+    assert np.array_equal(_bits(moved), _bits(states.lift_of_density([kept[0], other[1], kept[2]])))
+    assert len(eigh_calls) == 6
+
+
+def test_lift_memo_misses_on_any_other_key(eigh_calls):
+    rhos = _triangle_densities(33)
+    ulp = rhos.copy()
+    ulp[1, 0, 0] = np.nextafter(ulp[1, 0, 0].real, np.inf)
+    zero = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    signed = zero.copy()
+    signed[0, 1] = -0.0
+    assert not np.signbit(zero[0, 1].real) and np.signbit(signed[0, 1].real)
+    cases = [
+        ((rhos,), (ulp,)),
+        ((zero,), (signed,)),
+        ((rhos,), (rhos, states.PURITY_TOL / 2)),
+        ((rhos[0],), (rhos[:1],)),
+    ]
+    for a, b in cases:
+        eigh_calls.clear()
+        lifts = [states.lift_of_density(*args) for args in (a, b, a, b)]
+        assert len(eigh_calls) == 4  # every call misses ...
+        assert np.array_equal(_bits(states.lift_of_density(*b)), _bits(lifts[3]))
+        assert len(eigh_calls) == 4  # ... though the last key hits
+    assert states.lift_of_density(rhos[0]).shape == (3,)
+    assert states.lift_of_density(rhos[:1]).shape == (1, 3)
+
+
+def test_lift_memo_keeps_its_entry_when_a_call_raises(eigh_calls):
+    rhos = _triangle_densities(34)
+    want = states.lift_of_density(rhos)
+    mixed = np.eye(3) / 3.0
+    nan = rhos.copy()
+    nan[2, 1, 1] = np.nan
+    inf, empty = np.full((3, 3), np.inf), np.zeros((0, 3, 3))
+    for bad in (mixed, [rhos[0], mixed, rhos[2]], nan, inf, empty):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                states.lift_of_density(bad)
+    assert np.array_equal(_bits(states.lift_of_density(rhos)), _bits(want))
+    assert len(eigh_calls) == 1
+
+
+def test_lift_memo_never_stores_a_larger_stack(eigh_calls):
+    four = np.array([states.density_of(p) for p in states.random_states(35, 4)])
+    first, second = states.lift_of_density(four), states.lift_of_density(four)
+    assert len(eigh_calls) == 2 and states._last_lift is None
+    assert np.array_equal(_bits(first), _bits(second))
+    states.lift_of_density(four[:3])
+    states.lift_of_density(four)  # neither looked up nor stored ...
+    states.lift_of_density(four[:3])  # ... so the triangle still hits
+    assert eigh_calls == [(4, 3, 3)] * 2 + [(3, 3, 3), (4, 3, 3)]
+
+
+def test_one_eigh_per_triangle_across_its_routes(eigh_calls):
+    rhos = list(_triangle_densities(36))
+    phases.canonicalize_triangle(*rhos)
+    phases.triangle_line_integral_phase(*rhos)
+    assert eigh_calls == [(3, 3, 3)]
+    eigh_calls.clear()
+    states._last_lift = None
+    evolution.evolve_triangle(*rhos, step=5e-3)
+    assert eigh_calls == [(3, 3, 3)]
