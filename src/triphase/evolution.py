@@ -47,7 +47,8 @@ class Schedule:
     A hamiltonian is a HamiltonianCoeffs, constant over its segment, or a
     callable that maps a 1-D array of k parameters, measured from the
     segment start, to one HamiltonianCoeffs with h0 of shape (k,) and h of
-    shape (k, 8), as geodesics.geodesic_hamiltonian_family does.
+    shape (k, 8), as geodesics.geodesic_hamiltonian_family does; an h of
+    another shape raises ValueError before the block's RK4 steps.
     """
 
     segments: tuple
@@ -209,7 +210,11 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                 stages = np.empty(2 * len(edges) - 1)
                 stages[0::2] = edges
                 stages[1::2] = edges[:-1] + 0.5 * h
-                ops = operator(hamiltonian(stages))
+                coeffs, shape = hamiltonian(stages), (len(stages), 8)
+                if np.shape(coeffs.h) != shape:
+                    message = "a schedule callable gave h of shape {}, expected {}"
+                    raise ValueError(message.format(np.shape(coeffs.h), shape))
+                ops = operator(coeffs)
                 starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
                 increments = _rk4_increment(h, starts, mids, ends)
                 x = record(x, _chain(increments, x), h, ops[0], ends)
@@ -241,14 +246,19 @@ class Trajectory:
     norm_drift: float | None = None
 
 
+# where each 6x6 generator entry sits in concat(parts, -parts), parts the (Re, Im)
+# doubles of H's entries: block (i, j) is [[Im, Re], [-Re, Im]] of entry 3 i + j
+_GENERATOR_INDEX = (
+    2 * np.arange(9).reshape(3, 1, 3, 1) + np.array([[1, 0], [18, 1]])[:, None, :]
+).ravel()
+
+
 def _state_generator(coeffs):
     """Real 6x6 form of -iH acting on psi.view(float), or a stack of them."""
     matrix = coeffs.matrix()
-    generator = np.empty(matrix.shape[:-2] + (3, 2, 3, 2))
-    generator[..., :, 0, :, 0] = matrix.imag
-    generator[..., :, 0, :, 1] = matrix.real
-    generator[..., :, 1, :, 0] = -matrix.real
-    generator[..., :, 1, :, 1] = matrix.imag
+    parts = matrix.view(float).reshape(matrix.shape[:-2] + (18,))
+    signed = np.concatenate((parts, -parts), axis=-1)
+    generator = np.take(signed, _GENERATOR_INDEX, axis=-1, mode="wrap")
     return generator.reshape(matrix.shape[:-2] + (6, 6))
 
 

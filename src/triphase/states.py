@@ -89,21 +89,47 @@ def n_vector_of(psi, tol=NORM_TOL):
 _ROW_BLOCK = 4096
 """Rows of n_vectors_of evaluated together, bounding its temporaries."""
 
+_L8_WEIGHTS = su3.LAMBDA[7].diagonal().real[1:]  # l_8's entries (1, 1) and (2, 2)
+
 
 def n_vectors_of(psis):
     """Row-wise n_vector_of for an (N, 3) array of normalized states.
 
-    The rows go through in blocks of _ROW_BLOCK into the preallocated
-    result, so the complex temporaries stay small; each row's doubles do
-    not depend on the block it falls in.
+    Real arithmetic on each row's doubles x0, y0, ..., y2 gives those of
+    (sqrt(3)/2) Re einsum('ki,rij,kj->kr', conj(psis), LAMBDA, psis), signed
+    zeros included: with r_ij = x_i x_j + y_i y_j and i_ij = x_i y_j - y_i x_j,
+    n_1 = r01 + r01, n_2 = i01 + i01, and so on, each sum in the einsum's
+    order.  A row with a non-finite entry gives NaN throughout, as the einsum
+    does.  Rows go through in blocks of _ROW_BLOCK; a row's doubles do not
+    depend on its block.
     """
-    a = np.asarray(psis, dtype=complex)
+    a = np.ascontiguousarray(psis, dtype=complex)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"states must have shape (N, 3), got {a.shape}")
     ns = np.empty((len(a), 8))
-    for first in range(0, len(a), _ROW_BLOCK):
-        block = a[first : first + _ROW_BLOCK]
-        products = np.einsum("ki,rij,kj->kr", block.conj(), su3.LAMBDA, block)
-        ns[first : first + _ROW_BLOCK] = (su3.SQRT3 / 2) * products.real
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows come out NaN
+        for first in range(0, len(a), _ROW_BLOCK):
+            ns[first : first + _ROW_BLOCK] = _n_rows(a[first : first + _ROW_BLOCK]).T
     return ns
+
+
+def _n_rows(block):
+    # the (8, k) n-vectors of a (k, 3) block, from contiguous component rows
+    x0, y0, x1, y1, x2, y2 = block.view(float).T.copy()
+    c, c2 = _L8_WEIGHTS
+    n = np.empty((8, len(block)))
+    pairs = ((0, x0, y0, x1, y1), (3, x0, y0, x2, y2), (5, x1, y1, x2, y2))
+    for k, xi, yi, xj, yj in pairs:
+        real, imag = xi * xj + yi * yj, xi * yj - yi * xj
+        np.add(real, real, out=n[k])
+        np.add(imag, imag, out=n[k + 1])
+    np.subtract(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, out=n[2])
+    upper = (x0 * c) * x0 + (y0 * c) * y0 + ((x1 * c) * x1 + (y1 * c) * y1)
+    np.add(upper, (x2 * c2) * x2 + (y2 * c2) * y2, out=n[7])
+    n *= su3.SQRT3 / 2
+    # n_8 - n_8 is +0, turning a -0 into the einsum's +0, or NaN on a non-finite row
+    n += n[7] - n[7]
+    return n
 
 
 def density_from_n(n):

@@ -104,15 +104,16 @@ def _two_term_form(table):
     """Two-term form of an (8, m) table whose columns have at most two nonzero rows.
 
     Returns the row and coefficient of every column's first term (a
-    coefficient of 0 for an all-zero column), then the columns with a
-    second term and that term's row and coefficient.
+    coefficient of 0 for an all-zero column), then a (column, row,
+    coefficient) triple for each column with a second term.
     """
     if np.count_nonzero(table, axis=0).max() > 2:
         raise ValueError("a column has more than two nonzero terms")
     index = np.argsort(table == 0, axis=0, kind="stable")[:2]
     coeff = np.take_along_axis(table, index, axis=0)
     pairs = np.flatnonzero(coeff[1])
-    return index[0], coeff[0], pairs, index[1, pairs], coeff[1, pairs]
+    seconds = tuple(zip(pairs.tolist(), index[1, pairs].tolist(), coeff[1, pairs].tolist()))
+    return index[0], coeff[0], seconds
 
 
 LAMBDA_TERMS = _two_term_form(
@@ -130,13 +131,15 @@ def two_term_sum(h, terms):
     h may carry leading batch dimensions.  The doubles are those of the
     einsum over T: its zero terms change no nonzero sum, a sum of two
     products rounds the same in either order, and the final + 0.0 turns a
-    -0 into the +0 an einsum accumulator gives.
+    -0 into the +0 an einsum accumulator gives.  The few second terms go
+    in column by column, as a fancy-indexed write of them costs more.
     """
-    index, coeff, pairs, second_index, second_coeff = terms
+    index, coeff, seconds = terms
     h = np.asarray(h, dtype=float)
-    total = np.take(h, index, axis=-1)
+    total = np.take(h, index, axis=-1, mode="wrap")  # in range; "wrap" skips the bounds check
     total *= coeff
-    total[..., pairs] += np.take(h, second_index, axis=-1) * second_coeff
+    for column, row, second in seconds:
+        total[..., column] += h[..., row] * second
     total += 0.0
     return total
 

@@ -6,6 +6,7 @@ cross-run determinism tests and one case for each exit code 0-4.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -218,6 +219,57 @@ def test_evolve_canonical(tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     assert len(first) == 17
     assert first[0] == 0.0
+
+
+def _pinned_triangles():
+    # the canonical triangle, a Haar triangle, and one in the 2-3 subspace
+    # whose first components are exact zeros, where a flipped signed zero prints -0
+    canonical = phases.triangle_states(
+        phases.TriangleParams(math.pi / 4, math.pi / 4, math.pi / 2, math.pi / 2)
+    )
+    xi = 0.3
+    subspace = np.array(
+        [[0.0, 0.0, 1.0], [0.0, math.sin(xi), math.cos(xi)], [0.0, 1j * math.sin(xi), math.cos(xi)]]
+    )
+    return {"canonical": canonical, "haar": states.random_states(11, 3), "subspace": subspace}
+
+
+# sha256 of stdout and the exit code, taken before the real-arithmetic n-vectors and generators
+PINNED_EVOLVE = {
+    ("canonical", "1e-3"): (0, "9f63b19950197ebe573ff8f77a356296635288ece5b493135a76291f6f2ddaf4"),
+    ("canonical", "5e-3"): (0, "446922df804425b865c6c629df7b2ade379af01c3989eb9149d2a252d4788238"),
+    ("haar", "1e-3"): (0, "240a041de2c4ec51e621731f57b9af3a8ce7edfcc457b6ac9e5e8d68bedf5b06"),
+    ("subspace", "1e-3"): (0, "5998df1cd740a7faba805d2b6986c3480e799507f340a9c07fa0d0a1c4210e65"),
+}
+
+PINNED_GEODESIC = {
+    "distinct": (0, "b6228c49c6ff35a5025f66c01ae7ef5a35e8b514d65930c2e11f333c94db7141"),
+    "identical": (0, "9b0c73e7df682b72b36e348c78410fe65fdb690da82f32cd572d13f4e5691c9d"),
+}
+
+
+def _digest(run):
+    return run.returncode, hashlib.sha256(run.stdout.encode()).hexdigest()
+
+
+def test_evolve_bytes_pinned(tmp_path):
+    for name, psis in _pinned_triangles().items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps([states.state_to_json(psi) for psi in psis])
+        )
+    for (name, step), pinned in PINNED_EVOLVE.items():
+        run = run_in_process("evolve", str(tmp_path / f"{name}.json"), "--step", step)
+        assert _digest(run) == pinned, (name, step)
+
+
+def test_geodesic_bytes_pinned(tmp_path):
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    write_state(a, states.random_state(3))
+    write_state(b, states.random_state(4))
+    write_state(c, states.random_state(1))
+    runs = {"distinct": (a, b), "identical": (c, c)}
+    for name, pinned in PINNED_GEODESIC.items():
+        assert _digest(run_in_process("geodesic", *map(str, runs[name]))) == pinned, name
 
 
 def test_evolve_errors(tmp_path):

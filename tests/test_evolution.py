@@ -423,6 +423,16 @@ def einsum_operators(h0, h):
     return matrix, 2.0 * np.einsum("rst,...s->...rt", su3.F, h)
 
 
+def complex_generator(matrix):
+    # the real form of -iH written block by block from the complex matrix
+    generator = np.empty(matrix.shape[:-2] + (3, 2, 3, 2))
+    generator[..., :, 0, :, 0] = matrix.imag
+    generator[..., :, 0, :, 1] = matrix.real
+    generator[..., :, 1, :, 0] = -matrix.real
+    generator[..., :, 1, :, 1] = matrix.imag
+    return generator.reshape(matrix.shape[:-2] + (6, 6))
+
+
 def test_stage_operators_broadcast_bit_for_bit():
     rng = np.random.default_rng(9)
     s = np.concatenate(([0.0, -0.0, np.pi / 2], rng.uniform(-3.0, 3.0, 38)))
@@ -449,10 +459,17 @@ def test_stage_operators_broadcast_bit_for_bit():
         matrix, adjoint = einsum_operators(coeffs.h0, coeffs.h)
         assert same_bits(coeffs.matrix(), matrix)
         assert same_bits(evolution._adjoint_operator(coeffs), adjoint)
+        assert same_bits(evolution._state_generator(coeffs), complex_generator(matrix))
         for k in range(len(coeffs.h0)):
             single = geodesics.HamiltonianCoeffs(coeffs.h0[k], coeffs.h[k])
             assert same_bits(single.matrix(), matrix[k])
             assert same_bits(evolution._adjoint_operator(single), adjoint[k])
+            assert same_bits(evolution._state_generator(single), complex_generator(matrix[k]))
+    # x -> generator x is psi -> -i H psi on psi.view(float)
+    psis = states.random_states(rng, len(s))
+    rates = np.einsum("kij,kj->ki", evolution._state_generator(stacked), psis.view(float))
+    expected = -1j * np.einsum("kij,kj->ki", stacked.matrix(), psis)
+    assert np.abs(rates.view(complex) - expected).max() < 1e-12
 
 
 def test_constant_operators_unchanged():
@@ -468,3 +485,25 @@ def test_constant_operators_unchanged():
         assert same_bits(coeffs.matrix(), matrix)
         adjoint = 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)
         assert same_bits(evolution._adjoint_operator(coeffs), adjoint)
+        assert same_bits(evolution._state_generator(coeffs), complex_generator(matrix))
+
+
+@pytest.mark.parametrize("picture", ["state", "nvector"])
+def test_callable_of_the_wrong_shape_raises_before_any_step(monkeypatch, picture):
+    def fixed(s):  # ignores its argument: one Hamiltonian, h of shape (8,)
+        return geodesics.geodesic_hamiltonian_family(0.3, -0.6, 0.9, 0.2, -0.4)
+
+    def three(s):  # always three stages
+        return geodesics.geodesic_hamiltonian_family(np.zeros(3), -0.6, 0.9, 0.2, -0.4)
+
+    def never(*args):
+        raise AssertionError("an RK4 step ran before the shape was checked")
+
+    monkeypatch.setattr(evolution, "_rk4_increment", never)
+    integrate = {"state": evolution.integrate_state, "nvector": evolution.integrate_nvector}
+    x0 = states.POLES[2] if picture == "nvector" else E3
+    for family, got in ((fixed, "(8,)"), (three, "(3, 8)")):
+        schedule = evolution.Schedule(((family, 0.01),))
+        with pytest.raises(ValueError) as raised:
+            integrate[picture](x0, schedule, 1e-3)
+        assert str(raised.value).endswith(f"shape {got}, expected (21, 8)")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,47 @@ def test_random_states_on_locus():
     assert np.abs(su3.star(ns, ns) - ns).max() < 1e-12
 
 
+def einsum_n_vectors(psis):
+    # the contraction n_vectors_of's real arithmetic must reproduce bit for bit
+    return (SQRT3 / 2) * np.einsum("ki,rij,kj->kr", psis.conj(), su3.LAMBDA, psis).real
+
+
+def n_vector_pools():
+    # Haar rows, every row with components in {0, -0, 0.6, -0.8} (signed
+    # zeros on every product), the basis states and rows at 1e-200 scale
+    haar = states.random_states(2, 20000)
+    grid = np.array(list(itertools.product([0.0, -0.0, 0.6, -0.8], repeat=6))).view(complex)
+    basis = np.concatenate((np.eye(3), -np.eye(3), 1j * np.eye(3), -1j * np.eye(3)))
+    return haar, grid, basis.astype(complex), 1e-200 * haar[:500]
+
+
 @pytest.mark.parametrize("block", [1, 7, 4096])
 def test_n_vectors_blocked_bit_for_bit(monkeypatch, block):
-    psis = states.random_states(2, 1000)
-    whole = (SQRT3 / 2) * np.einsum("ki,rij,kj->kr", psis.conj(), su3.LAMBDA, psis).real
     monkeypatch.setattr(states, "_ROW_BLOCK", block)
-    assert states.n_vectors_of(psis).tobytes() == whole.tobytes()
+    limit = 1000 if block == 1 else None  # a block of one row is one Python pass per row
+    for psis in n_vector_pools():
+        psis = psis[:limit]
+        assert states.n_vectors_of(psis).tobytes() == einsum_n_vectors(psis).tobytes()
+
+
+def test_n_vectors_of_rejects_bad_shapes():
+    for shape in [(3,), (2, 4), (2, 3, 1), (3, 3, 3)]:
+        with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+            states.n_vectors_of(np.zeros(shape, dtype=complex))
+    assert states.n_vectors_of(np.zeros((0, 3))).shape == (0, 8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_gives_nan_n_vector(value):
+    psis = states.random_states(3, 7)
+    for k in range(6):
+        bad = psis.copy()
+        bad.view(float)[4, k] = value
+        ns = states.n_vectors_of(bad)
+        assert np.isnan(ns[4]).all()
+        assert np.isnan(einsum_n_vectors(bad)[4]).all()
+        others = np.arange(7) != 4
+        assert ns[others].tobytes() == einsum_n_vectors(psis)[others].tobytes()
 
 
 def test_antipode_off_locus():
