@@ -7,6 +7,7 @@ byte and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +94,29 @@ def _worst(seed, trials, errors):
     return np.array([errors(_rng(seed, k)) for k in range(trials)], dtype=float).max(axis=0)
 
 
-def _nonorthogonal_states(rng, count=3, floor=1e-3):
+def _sweep(*names):
+    """Make a per-trial measurement errors(rng), one value per name, into the
+    sweep check(seed, trials) judging each name's worst value over the trials.
+    A name measuring several values takes their np.max, which keeps a NaN."""
+
+    def decorate(errors):
+        @functools.wraps(errors)
+        def check(seed, trials):
+            worst = _worst(seed, trials, errors).reshape(len(names))
+            return [_result(name, value, trials) for name, value in zip(names, worst)]
+
+        return check
+
+    return decorate
+
+
+def _nonorthogonal_states(rng, count=3):
     """Haar-random states, redrawn until every cyclically consecutive pair
-    has transition probability above floor."""
+    has transition probability above 1e-3."""
     while True:
         psis = states.random_states(rng, count)
         pairs = zip(psis, np.roll(psis, -1, axis=0))
-        if all(abs(np.vdot(a, b)) ** 2 > floor for a, b in pairs):
+        if all(abs(np.vdot(a, b)) ** 2 > 1e-3 for a, b in pairs):
             return psis
 
 
@@ -123,39 +140,28 @@ def check_algebra_tables(seed, trials):
     ]
 
 
-def check_bilinearity(seed, trials):
-    def errors(rng):
-        a, b, c = rng.standard_normal((3, 8))
-        x, y = rng.standard_normal(2)
-        mixed = x * a + y * b
-        products = (su3.wedge, su3.star)
-        left = [np.abs(p(mixed, c) - x * p(a, c) - y * p(b, c)).max() for p in products]
-        right = [np.abs(p(c, mixed) - x * p(c, a) - y * p(c, b)).max() for p in products]
-        antisymmetry = np.abs(su3.wedge(a, b) + su3.wedge(b, a)).max()
-        symmetry = np.abs(su3.star(a, b) - su3.star(b, a)).max()
-        return [*left, *right, antisymmetry, symmetry]
-
-    return [_result("algebra.bilinearity", _worst(seed, trials, errors).max(), trials)]
+@_sweep("algebra.bilinearity")
+def check_bilinearity(rng):
+    a, b, c = rng.standard_normal((3, 8))
+    x, y = rng.standard_normal(2)
+    mixed = x * a + y * b
+    products = (su3.wedge, su3.star)
+    left = [np.abs(p(mixed, c) - x * p(a, c) - y * p(b, c)).max() for p in products]
+    right = [np.abs(p(c, mixed) - x * p(c, a) - y * p(c, b)).max() for p in products]
+    antisymmetry = np.abs(su3.wedge(a, b) + su3.wedge(b, a)).max()
+    symmetry = np.abs(su3.star(a, b) - su3.star(b, a)).max()
+    return np.max([*left, *right, antisymmetry, symmetry])
 
 
-def check_adjoint(seed, trials):
-    def errors(rng):
-        first = su3.random_special_unitary(rng)
-        second = su3.random_special_unitary(rng)
-        a, b = rng.standard_normal((2, 8))
-        d1 = su3.adjoint_of(first)
-        d2 = su3.adjoint_of(second)
-        return (
-            np.abs(su3.adjoint_of(second @ first) - d2 @ d1).max(),
-            np.abs(d1 @ su3.wedge(a, b) - su3.wedge(d1 @ a, d1 @ b)).max(),
-            np.abs(d1 @ su3.star(a, b) - su3.star(d1 @ a, d1 @ b)).max(),
-        )
-
-    worst = _worst(seed, trials, errors)
-    return [
-        _result("algebra.adjoint_homomorphism", worst[0], trials),
-        _result("algebra.product_covariance", worst[1:].max(), trials),
-    ]
+@_sweep("algebra.adjoint_homomorphism", "algebra.product_covariance")
+def check_adjoint(rng):
+    first = su3.random_special_unitary(rng)
+    second = su3.random_special_unitary(rng)
+    a, b = rng.standard_normal((2, 8))
+    d1 = su3.adjoint_of(first)
+    d2 = su3.adjoint_of(second)
+    covariance = [np.abs(d1 @ p(a, b) - p(d1 @ a, d1 @ b)).max() for p in (su3.wedge, su3.star)]
+    return np.abs(su3.adjoint_of(second @ first) - d2 @ d1).max(), np.max(covariance)
 
 
 def check_membership(seed, trials):
@@ -179,30 +185,25 @@ def check_membership(seed, trials):
     ]
 
 
-def check_equivariance(seed, trials):
-    def errors(rng):
-        rotation = su3.random_special_unitary(rng)
+@_sweep("states.equivariance")
+def check_equivariance(rng):
+    rotation = su3.random_special_unitary(rng)
+    psi = states.random_state(rng)
+    image = su3.adjoint_of(rotation) @ states.n_vector_of(psi)
+    return np.abs(states.n_vector_of(rotation @ psi) - image).max()
+
+
+@_sweep("states.chart_roundtrip")
+def check_chart_roundtrip(rng):
+    psi = states.random_state(rng)
+    while abs(psi[2]) <= 0.1:
         psi = states.random_state(rng)
-        image = su3.adjoint_of(rotation) @ states.n_vector_of(psi)
-        return np.abs(states.n_vector_of(rotation @ psi) - image).max()
-
-    return [_result("states.equivariance", _worst(seed, trials, errors), trials)]
-
-
-def check_chart_roundtrip(seed, trials):
-    def errors(rng):
-        psi = states.random_state(rng)
-        while abs(psi[2]) <= 0.1:
-            psi = states.random_state(rng)
-        back = states.from_octant_coords(states.to_octant_coords(psi))
-        closed = states.n_from_octant_coords(states.to_octant_coords(psi))
-        return (
-            abs(abs(np.vdot(psi, back)) ** 2 - 1.0),
-            np.abs(closed - states.n_vector_of(psi)).max(),
-        )
-
-    worst = _worst(seed, trials, errors).max()
-    return [_result("states.chart_roundtrip", worst, trials)]
+    back = states.from_octant_coords(states.to_octant_coords(psi))
+    closed = states.n_from_octant_coords(states.to_octant_coords(psi))
+    return np.max((
+        abs(abs(np.vdot(psi, back)) ** 2 - 1.0),
+        np.abs(closed - states.n_vector_of(psi)).max(),
+    ))
 
 
 def check_geodesics(seed, trials):
@@ -235,171 +236,133 @@ def check_geodesics(seed, trials):
     ]
 
 
-def check_length_and_zero_phase(seed, trials):
-    def errors(rng):
-        pair = _nonorthogonal_states(rng, 2)
-        curve = geodesics.geodesic_between(*map(states.density_of, pair))
-        grid = np.linspace(0.0, curve.length, 2001)
-        lifts = curve(grid)
-        return (
-            abs(geodesics.curve_length(grid, lifts) - curve.length),
-            abs(phases.geometric_phase_of_curve(grid, lifts).value),
-        )
-
-    worst_len, worst_phase = _worst(seed, trials, errors)
-    return [
-        _result("geodesics.length", worst_len, trials),
-        _result("geodesics.zero_phase", worst_phase, trials),
-    ]
+@_sweep("geodesics.length", "geodesics.zero_phase")
+def check_length_and_zero_phase(rng):
+    pair = _nonorthogonal_states(rng, 2)
+    curve = geodesics.geodesic_between(*map(states.density_of, pair))
+    grid = np.linspace(0.0, curve.length, 2001)
+    lifts = curve(grid)
+    return (
+        abs(geodesics.curve_length(grid, lifts) - curve.length),
+        abs(phases.geometric_phase_of_curve(grid, lifts).value),
+    )
 
 
-def check_triangle_oracles(seed, trials):
-    def errors(rng):
-        # redraw, like the orthogonality screen, until the sides avoid the chart's edge
-        while True:
-            psis = _nonorthogonal_states(rng)
-            rhos = [states.density_of(p) for p in psis]
-            try:
-                line = phases.triangle_line_integral_phase(*rhos).value
-                break
-            except ChartSingular:
-                pass
-        ns = [states.n_vector_of(p) for p in psis]
-        closed = phases.pancharatnam_phase(
-            phases.canonicalize_triangle(*rhos)
-        ).value
-        barg = phases.bargmann_phase(list(psis)).value
-        nvec = phases.pancharatnam_phase_from_n(*ns).value
-        rephased = [p * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for p in psis]
-        unitary = su3.random_special_unitary(rng)
-        moved = [states.density_of(unitary @ p) for p in psis]
-        invariant = phases.pancharatnam_phase(
-            phases.canonicalize_triangle(*moved)
-        ).value
-        return (
+@_sweep(
+    "phases.closed_form_agreement",
+    "phases.line_integral_agreement",
+    "phases.rephasing_invariance",
+    "phases.su3_invariance",
+)
+def check_triangle_oracles(rng):
+    # redraw, like the orthogonality screen, until the sides avoid the chart's edge
+    while True:
+        psis = _nonorthogonal_states(rng)
+        rhos = [states.density_of(p) for p in psis]
+        try:
+            line = phases.triangle_line_integral_phase(*rhos).value
+            break
+        except ChartSingular:
+            pass
+    ns = [states.n_vector_of(p) for p in psis]
+    closed = phases.pancharatnam_phase(phases.canonicalize_triangle(*rhos)).value
+    barg = phases.bargmann_phase(list(psis)).value
+    nvec = phases.pancharatnam_phase_from_n(*ns).value
+    rephased = [p * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for p in psis]
+    unitary = su3.random_special_unitary(rng)
+    moved = [states.density_of(unitary @ p) for p in psis]
+    invariant = phases.pancharatnam_phase(phases.canonicalize_triangle(*moved)).value
+    return (
+        np.max((
             phases.phase_distance(closed, barg),
             phases.phase_distance(closed, nvec),
             phases.phase_distance(barg, nvec),
-            phases.phase_distance(line, closed),
-            phases.phase_distance(phases.bargmann_phase(rephased).value, barg),
-            phases.phase_distance(invariant, closed),
+        )),
+        phases.phase_distance(line, closed),
+        phases.phase_distance(phases.bargmann_phase(rephased).value, barg),
+        phases.phase_distance(invariant, closed),
+    )
+
+
+@_sweep(
+    "phases.evolution_agreement",
+    "evolution.cyclic_closure",
+    "evolution.vanishing_dynamical_phase",
+)
+def check_evolution_agreement(rng):
+    psis = _nonorthogonal_states(rng)
+    rhos = [states.density_of(p) for p in psis]
+    closed = phases.pancharatnam_phase(phases.canonicalize_triangle(*rhos)).value
+    trajectory, evo, closure = evolution.evolve_triangle(*rhos, step=5e-3)
+    return (
+        phases.phase_distance(evo.value, closed),
+        closure,
+        np.abs(trajectory.phi_dyn).max(),
+    )
+
+
+@_sweep("phases.chi2_oddness")
+def check_chi2_oddness(rng):
+    xi, eta = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
+    zeta = rng.uniform(0.0, np.pi / 2)
+    chi2 = rng.uniform(1e-6, np.pi)
+    plus = phases.pancharatnam_phase(phases.TriangleParams(xi, eta, zeta, chi2))
+    minus = phases.pancharatnam_phase(
+        phases.TriangleParams(xi, eta, zeta, 2.0 * np.pi - chi2)
+    )
+    return phases.phase_distance(plus.value, -minus.value)
+
+
+@_sweep("phases.two_level_cosine", "phases.two_level_solid_angle")
+def check_two_level(rng):
+    xi, eta = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
+    chi2 = rng.uniform(0.0, 2.0 * np.pi)
+    params = phases.TriangleParams(xi, eta, np.pi / 2, chi2)
+    phase = phases.pancharatnam_phase(params).value
+    a, b, c, solid = phases.solid_angle_reduction(params)
+    identity = (1.0 + np.cos(a) + np.cos(b) + np.cos(c)) / (
+        4.0 * np.cos(a / 2) * np.cos(b / 2) * np.cos(c / 2)
+    )
+    return abs(np.cos(phase) - identity), abs(abs(phase) - 0.5 * solid)
+
+
+@_sweep("evolution.two_pictures", "evolution.adjoint_norm_drift")
+def check_two_pictures(rng):
+    segments = tuple(
+        (
+            geodesics.HamiltonianCoeffs(
+                float(rng.standard_normal()), rng.standard_normal(8) * 0.5
+            ),
+            float(rng.uniform(0.2, 0.6)),
         )
-
-    worst = _worst(seed, trials, errors)
-    return [
-        _result("phases.closed_form_agreement", worst[:3].max(), trials),
-        _result("phases.line_integral_agreement", worst[3], trials),
-        _result("phases.rephasing_invariance", worst[4], trials),
-        _result("phases.su3_invariance", worst[5], trials),
-    ]
-
-
-def check_evolution_agreement(seed, trials):
-    def errors(rng):
-        psis = _nonorthogonal_states(rng)
-        rhos = [states.density_of(p) for p in psis]
-        closed = phases.pancharatnam_phase(
-            phases.canonicalize_triangle(*rhos)
-        ).value
-        trajectory, evo, closure = evolution.evolve_triangle(*rhos, step=5e-3)
-        return (
-            phases.phase_distance(evo.value, closed),
-            closure,
-            np.abs(trajectory.phi_dyn).max(),
-        )
-
-    worst_evo, worst_closure, worst_dyn = _worst(seed, trials, errors)
-    return [
-        _result("phases.evolution_agreement", worst_evo, trials),
-        _result("evolution.cyclic_closure", worst_closure, trials),
-        _result("evolution.vanishing_dynamical_phase", worst_dyn, trials),
-    ]
+        for _ in range(3)
+    )
+    schedule = evolution.Schedule(segments)
+    psi0 = states.random_state(rng)
+    by_state = evolution.integrate_state(psi0, schedule, 2e-3)
+    by_vector = evolution.integrate_nvector(states.n_vector_of(psi0), schedule, 2e-3)
+    return (
+        np.abs(by_state.n - by_vector.n).max(),
+        np.abs(np.linalg.norm(by_vector.n, axis=1) - 1.0).max(),
+    )
 
 
-def check_chi2_oddness(seed, trials):
-    def errors(rng):
-        xi, eta = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
-        zeta = rng.uniform(0.0, np.pi / 2)
-        chi2 = rng.uniform(1e-6, np.pi)
-        plus = phases.pancharatnam_phase(phases.TriangleParams(xi, eta, zeta, chi2))
-        minus = phases.pancharatnam_phase(
-            phases.TriangleParams(xi, eta, zeta, 2.0 * np.pi - chi2)
-        )
-        return phases.phase_distance(plus.value, -minus.value)
-
-    return [_result("phases.chi2_oddness", _worst(seed, trials, errors), trials)]
-
-
-def check_two_level(seed, trials):
-    def errors(rng):
-        xi, eta = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
-        chi2 = rng.uniform(0.0, 2.0 * np.pi)
-        params = phases.TriangleParams(xi, eta, np.pi / 2, chi2)
-        phase = phases.pancharatnam_phase(params).value
-        a, b, c, solid = phases.solid_angle_reduction(params)
-        identity = (1.0 + np.cos(a) + np.cos(b) + np.cos(c)) / (
-            4.0 * np.cos(a / 2) * np.cos(b / 2) * np.cos(c / 2)
-        )
-        return abs(np.cos(phase) - identity), abs(abs(phase) - 0.5 * solid)
-
-    worst_cos, worst_half = _worst(seed, trials, errors)
-    return [
-        _result("phases.two_level_cosine", worst_cos, trials),
-        _result("phases.two_level_solid_angle", worst_half, trials),
-    ]
-
-
-def check_two_pictures(seed, trials):
-    def errors(rng):
-        segments = tuple(
-            (
-                geodesics.HamiltonianCoeffs(
-                    float(rng.standard_normal()), rng.standard_normal(8) * 0.5
-                ),
-                float(rng.uniform(0.2, 0.6)),
-            )
-            for _ in range(3)
-        )
-        schedule = evolution.Schedule(segments)
-        psi0 = states.random_state(rng)
-        by_state = evolution.integrate_state(psi0, schedule, 2e-3)
-        by_vector = evolution.integrate_nvector(
-            states.n_vector_of(psi0), schedule, 2e-3
-        )
-        return (
-            np.abs(by_state.n - by_vector.n).max(),
-            np.abs(np.linalg.norm(by_vector.n, axis=1) - 1.0).max(),
-        )
-
-    worst, worst_norm = _worst(seed, trials, errors)
-    return [
-        _result("evolution.two_pictures", worst, trials),
-        _result("evolution.adjoint_norm_drift", worst_norm, trials),
-    ]
-
-
-def check_geodesic_generation(seed, trials):
-    def errors(rng):
-        pair = _nonorthogonal_states(rng, 2)
-        na, nb = states.n_vectors_of(pair)
-        coeffs = geodesics.constant_hamiltonian(na, nb)
-        opening = geodesics.geodesic_angle(na, nb)
-        schedule = evolution.Schedule(((coeffs, opening),))
-        trajectory = evolution.integrate_state(pair[0], schedule, 1e-3)
-        final = trajectory.psi[-1]
-        energies = np.einsum(
-            "ki,ij,kj->k", trajectory.psi.conj(), coeffs.matrix(), trajectory.psi
-        ).real
-        return (
-            np.abs(np.outer(final, final.conj()) - states.density_of(pair[1])).max(),
-            np.abs(energies).max(),
-        )
-
-    worst_end, worst_energy = _worst(seed, trials, errors)
-    return [
-        _result("evolution.geodesic_generation", worst_end, trials),
-        _result("evolution.energy_expectation", worst_energy, trials),
-    ]
+@_sweep("evolution.geodesic_generation", "evolution.energy_expectation")
+def check_geodesic_generation(rng):
+    pair = _nonorthogonal_states(rng, 2)
+    na, nb = states.n_vectors_of(pair)
+    coeffs = geodesics.constant_hamiltonian(na, nb)
+    opening = geodesics.geodesic_angle(na, nb)
+    schedule = evolution.Schedule(((coeffs, opening),))
+    trajectory = evolution.integrate_state(pair[0], schedule, 1e-3)
+    final = trajectory.psi[-1]
+    energies = np.einsum(
+        "ki,ij,kj->k", trajectory.psi.conj(), coeffs.matrix(), trajectory.psi
+    ).real
+    return (
+        np.abs(np.outer(final, final.conj()) - states.density_of(pair[1])).max(),
+        np.abs(energies).max(),
+    )
 
 
 def check_convergence_order(seed, trials):

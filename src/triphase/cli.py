@@ -220,8 +220,6 @@ def _parse_overrides(pairs):
 def cmd_check(args):
     if args.seed < 0:
         raise OutOfRange(f"seed = {args.seed}, need at least 0")
-    if args.trials < 1:
-        raise OutOfRange(f"trials = {args.trials}, need at least 1")
     if args.trials > MAX_CHECK_TRIALS:
         raise OutOfRange(f"trials = {args.trials}, over the budget of {MAX_CHECK_TRIALS}")
     overrides = _parse_overrides(args.tol)

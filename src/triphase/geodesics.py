@@ -148,19 +148,20 @@ def curve_length(s, psis):
     return float(np.trapezoid(integrand, s))
 
 
-def _rank(matrix, rel_tol):
+def _rank(matrix):
+    # singular values below 1e-8 of the largest count as zero
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > 1e-8 * sv[0]))
 
 
-def span_rank(points, rel_tol=1e-8):
+def span_rank(points):
     """Dimension of the linear span of eight-vector samples."""
-    return _rank(np.asarray(points, dtype=float), rel_tol)
+    return _rank(np.asarray(points, dtype=float))
 
 
-def planarity_test(points, rel_tol=1e-8):
+def planarity_test(points):
     """(is_planar, affine_rank) of eight-vector samples.
 
     Affine rank is the rank of the differences to the first sample with a
@@ -169,7 +170,7 @@ def planarity_test(points, rel_tol=1e-8):
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 4:
         raise TooFewSamples("need at least four samples for a meaningful rank test")
-    affine_rank = _rank(pts[1:] - pts[0], rel_tol)
+    affine_rank = _rank(pts[1:] - pts[0])
     return affine_rank <= 2, affine_rank
 
 

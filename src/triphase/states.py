@@ -52,10 +52,10 @@ def as_state(psi):
     return a
 
 
-def assert_normalized(psi, tol=NORM_TOL):
+def assert_normalized(psi):
     a = as_state(psi)
     defect = abs(np.vdot(a, a).real - 1.0)
-    if not (defect <= tol):
+    if not (defect <= NORM_TOL):
         raise NotNormalized(f"norm deviates from 1 by {defect:.3e}")
     return a
 
@@ -73,15 +73,15 @@ def random_states(seed, count):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def density_of(psi, tol=NORM_TOL):
+def density_of(psi):
     """Rank-one projector |psi><psi| of a normalized state."""
-    a = assert_normalized(psi, tol)
+    a = assert_normalized(psi)
     return np.outer(a, a.conj())
 
 
-def n_vector_of(psi, tol=NORM_TOL):
+def n_vector_of(psi):
     """Eight-vector n_r = (sqrt(3)/2) <psi| l_r |psi> of a normalized state."""
-    a = assert_normalized(psi, tol)
+    a = assert_normalized(psi)
     n = (su3.SQRT3 / 2) * np.einsum("i,rij,j->r", a.conj(), su3.LAMBDA, a)
     return n.real
 
@@ -138,17 +138,17 @@ def density_from_n(n):
     return (np.eye(3) + su3.SQRT3 * np.einsum("r,rij->ij", n, su3.LAMBDA)) / 3.0
 
 
-def assert_on_O(n, tol=PURITY_TOL):
+def assert_on_O(n):
     """Return n as floats, or raise NotOnO when its norm or star defect
-    (|n.n - 1| and max |n * n - n|) exceeds tol.  A (k, 8) stack raises
+    (|n.n - 1| and max |n * n - n|) exceeds PURITY_TOL.  A (k, 8) stack raises
     the single call's error for its first row off O."""
     n = np.asarray(n, dtype=float)
     norm_defect = abs(np.vecdot(n, n, keepdims=True) - 1.0)
     star_defect = abs(su3.star(n, n) - n).max(axis=-1, keepdims=True)
     worst = np.maximum(norm_defect, star_defect).ravel()
-    if not (worst <= tol).all():  # an empty stack passes
-        row = int((~(worst <= tol)).argmax())  # the first row off O, a NaN one too
-        defects = norm_defect.flat[row], star_defect.flat[row], tol
+    if not (worst <= PURITY_TOL).all():  # an empty stack passes
+        row = int((~(worst <= PURITY_TOL)).argmax())  # the first row off O, a NaN one too
+        defects = norm_defect.flat[row], star_defect.flat[row], PURITY_TOL
         raise NotOnO("norm defect {:.3e}, star defect {:.3e} exceed {:.1e}".format(*defects))
     return n
 
@@ -158,7 +158,7 @@ _last_lift = None
 Replaced whole and never written into, so a reader always sees a matching pair."""
 
 
-def lift_of_density(rho, tol=PURITY_TOL):
+def lift_of_density(rho):
     """Unit eigenvector of a pure density matrix, in a deterministic gauge.
 
     The gauge makes the largest-modulus component real and positive.  A
@@ -168,9 +168,9 @@ def lift_of_density(rho, tol=PURITY_TOL):
     The last successful call on one matrix or a stack of at most three is
     memoised, so the routes that lift one triangle's vertices share one
     eigh.  The key is the exact input: the shape and bytes of the complex
-    array, and tol.  A hit returns a fresh copy of the stored lifts.  A
-    larger stack is neither looked up nor stored, and a call that raises
-    leaves the stored entry in place.
+    array.  A hit returns a fresh copy of the stored lifts.  A larger stack
+    is neither looked up nor stored, and a call that raises leaves the
+    stored entry in place.
     """
     global _last_lift
     r = np.asarray(rho, dtype=complex)
@@ -178,7 +178,7 @@ def lift_of_density(rho, tol=PURITY_TOL):
         raise ValueError(f"density matrix must have shape (3, 3) or (k, 3, 3), got {r.shape}")
     memo = len(r) <= 3  # a single matrix has three rows, so only larger stacks bypass
     if memo:
-        key = (r.shape, r.tobytes(), tol)
+        key = (r.shape, r.tobytes())
         last = _last_lift
         if last is not None and last[0] == key:
             return last[1].copy()
@@ -186,11 +186,11 @@ def lift_of_density(rho, tol=PURITY_TOL):
         hermiticity = np.abs(r - r.conj().swapaxes(-1, -2))
         purity = np.abs(r @ r - r)
         trace = np.abs(r.trace(axis1=-2, axis2=-1).real - 1.0)
-    if not (hermiticity.max() <= tol and purity.max() <= tol and trace.max() <= tol):
+    if not all(w.max() <= PURITY_TOL for w in (hermiticity, purity, trace)):
         # judge each matrix as a single call does; a NaN defect fails too
         worst = (hermiticity.reshape(-1, 9).max(1), purity.reshape(-1, 9).max(1), trace.ravel())
         for defects in zip(*(w.tolist() for w in worst)):
-            if not all(d <= tol for d in defects):
+            if not all(d <= PURITY_TOL for d in defects):
                 message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
                 raise ValueError(message.format(*defects))
     tops = np.linalg.eigh(r)[1][..., -1]
@@ -207,9 +207,9 @@ def _gauged(tops):
     return psi / np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
 
 
-def state_from_n(n, tol=PURITY_TOL):
+def state_from_n(n):
     """Lift an eight-vector on O back to a state vector (deterministic gauge)."""
-    return lift_of_density(density_from_n(assert_on_O(n, tol)))
+    return lift_of_density(density_from_n(assert_on_O(n)))
 
 
 def overlap(n1, n2):

@@ -74,30 +74,23 @@ _D_INDEPENDENT = {
     (3, 7, 7): -0.5,
 }
 
-_PARITY = {p: s for p, s in zip(permutations(range(3)), (1, -1, -1, 1, 1, -1))}
-# permutations() yields 012, 021, 102, 120, 201, 210
+_PARITY = (1, -1, -1, 1, 1, -1)
+# the signs of permutations(range(3)), which yields 012, 021, 102, 120, 201, 210
 
 
-def _antisymmetrized(independent):
+def _filled(independent, signs):
+    """(8, 8, 8) table holding each independent component at every permutation
+    of its indices, times that permutation's entry of signs."""
     table = np.zeros((8, 8, 8))
     for idx, value in independent.items():
         idx0 = tuple(i - 1 for i in idx)
-        for perm, sign in _PARITY.items():
+        for perm, sign in zip(permutations(range(3)), signs):
             table[tuple(idx0[p] for p in perm)] = sign * value
     return table
 
 
-def _symmetrized(independent):
-    table = np.zeros((8, 8, 8))
-    for idx, value in independent.items():
-        idx0 = tuple(i - 1 for i in idx)
-        for perm in _PARITY:
-            table[tuple(idx0[p] for p in perm)] = value
-    return table
-
-
-F = _antisymmetrized(_F_INDEPENDENT)
-D = _symmetrized(_D_INDEPENDENT)
+F = _filled(_F_INDEPENDENT, _PARITY)
+D = _filled(_D_INDEPENDENT, (1,) * 6)
 
 
 def _two_term_form(table):
@@ -160,17 +153,17 @@ def star(a, b):
     return SQRT3 * np.einsum("rst,...s,...t->...r", D, a, b)
 
 
-def assert_special_unitary(matrix, tol=1e-12):
-    """Raise NotSpecialUnitary unless A is unitary with det A = 1 within tol."""
+def assert_special_unitary(matrix):
+    """Raise NotSpecialUnitary unless A is unitary with det A = 1 within 1e-12."""
     a = np.asarray(matrix, dtype=complex)
     unitarity = np.abs(a.conj().T @ a - np.eye(3)).max()
     det_defect = abs(np.linalg.det(a) - 1.0)
     worst = max(unitarity, det_defect)
-    if worst > tol:
+    if worst > 1e-12:
         raise NotSpecialUnitary(f"max deviation from SU(3) is {worst:.3e}")
 
 
-def adjoint_of(matrix, tol=1e-12):
+def adjoint_of(matrix):
     """Adjoint image D(A)_rs = Tr(l_r A l_s A^dag) / 2 of a special unitary A.
 
     The result is the real orthogonal 8x8 matrix that rotates eight-vectors
@@ -178,7 +171,7 @@ def adjoint_of(matrix, tol=1e-12):
     homomorphism: adjoint_of(A2 @ A1) = adjoint_of(A2) @ adjoint_of(A1).
     """
     a = np.asarray(matrix, dtype=complex)
-    assert_special_unitary(a, tol)
+    assert_special_unitary(a)
     adj = 0.5 * np.einsum("rij,jk,skl,il->rs", LAMBDA, a, LAMBDA, a.conj())
     return adj.real
 

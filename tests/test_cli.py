@@ -297,7 +297,8 @@ def test_check_passes_and_deterministic():
 
 
 def test_check_error_paths():
-    assert run_in_process("check", "--trials", "0").returncode == 2
+    zero = run_in_process("check", "--trials", "0")
+    assert zero.returncode == 2 and "trials = 0, need at least 1" in zero.stderr
     assert run_in_process("check", "--trials", "2", "--tol", "nope=1").returncode == 2
     assert run_in_process("check", "--trials", "2", "--tol", "algebra.tables").returncode == 2
     # an interval bound has no single tolerance to override

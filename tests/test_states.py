@@ -455,7 +455,6 @@ def test_lift_memo_misses_on_any_other_key(eigh_calls):
     cases = [
         ((rhos,), (ulp,)),
         ((zero,), (signed,)),
-        ((rhos,), (rhos, states.PURITY_TOL / 2)),
         ((rhos[0],), (rhos[:1],)),
     ]
     for a, b in cases:

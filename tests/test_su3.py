@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ def test_d_table_entries():
     # total symmetry
     assert np.abs(su3.D - np.swapaxes(su3.D, 0, 1)).max() == 0.0
     assert np.abs(su3.D - np.swapaxes(su3.D, 1, 2)).max() == 0.0
+
+
+def test_structure_tables_bytes_pinned():
+    # every double of F and D, as the tables were first filled
+    digests = [hashlib.sha256(table.tobytes()).hexdigest() for table in (su3.F, su3.D)]
+    assert digests == [
+        "84749aa508c06380c24b60a9b3cca219ec8302cdab222fe174bf9147fde6763e",
+        "5632eb65e6664134c8bc301c947dbf8d688a8cc1f58ccb25b6c6018e32f11e6e",
+    ]
 
 
 def test_wedge_star_bilinear():
