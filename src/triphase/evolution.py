@@ -23,9 +23,11 @@ steps.  A parameter-dependent segment runs in blocks of steps: one call
 of its callable gives every stage Hamiltonian of a block, one batched RK4
 step of the identity gives each step's own matrix P_k, and a prefix scan
 over a tree of the steps gives the states P_k ... P_1 x, again with no
-loop over steps.  Every step is linear, so P (x/|x|) points the same way
-as P x, and the state picture renormalizes the states of a segment or
-block, and takes their dynamical-phase trapezoids, in one pass after it.
+loop over steps.  A block's operator stack and RK4 temporaries live in a
+reused workspace of at most 2.6 MB, which no returned array shares.
+Every step is linear, so P (x/|x|) points the same way as P x, and the
+state picture renormalizes the states of a segment or block, and takes
+their dynamical-phase trapezoids, in one pass after it.
 A schedule may take at most MAX_STEPS steps in total.
 """
 
@@ -90,19 +92,22 @@ def _step_counts(schedule, step):
     return counts
 
 
-def _rk4_increment(h, start, mid, end):
+def _rk4_increment(h, start, mid, end, out=(None, None, None)):
     """P - I for one classical RK4 step of x' = A x, given A at the step's
     start, middle and end (each may be a stack).
 
     The stages are those of RK4 applied to the identity, k1 = A_start and
-    k_j = A (I + c k_{j-1}), summed as ((k1 + 2 k2) + 2 k3) + k4.
+    k_j = A (I + c k_{j-1}), summed as ((k1 + 2 k2) + 2 k3) + k4.  out may
+    give three arrays of the result's shape to hold the temporaries scaled
+    and stage and the returned total.
     """
+    scaled, stage, total = out
     identity = np.eye(start.shape[-1])
     # in place where it keeps the doubles, to spare temporaries of a block's size
-    scaled = start * (0.5 * h)
+    scaled = np.multiply(start, 0.5 * h, out=scaled)
     scaled += identity
-    stage = mid @ scaled
-    total = stage * 2.0
+    stage = np.matmul(mid, scaled, out=stage)
+    total = np.multiply(stage, 2.0, out=total)
     total += start
     np.multiply(stage, 0.5 * h, out=scaled)
     scaled += identity
@@ -164,7 +169,12 @@ def _chain(increments, x):
 
 
 _BLOCK_STEPS = 1024
-"""Steps of a callable segment evaluated and chained together, bounding memory."""
+"""Steps of a callable segment evaluated and chained together, bounding memory;
+it also sizes the largest workspace, 5 _BLOCK_STEPS + 1 8x8 matrices, about 2.6 MB."""
+
+_WORKSPACES = []
+"""Flat buffers no callable block is using: a block pops one, or allocates one
+when none is large enough, and appends it back when done."""
 
 
 def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
@@ -184,7 +194,9 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
     step's end A; as every step is linear, it may rescale rows freely.
     Returns the sampled s and the stacked x.  Settled rows go straight into
     the preallocated result; beside it the walk holds only the rows of one
-    constant segment or the arrays of one callable block.
+    constant segment or the arrays of one callable block.  A block's 5k + 1
+    operators for k steps, its stack by operator(coeffs, out=) and then the
+    RK4 temporaries, sit in a buffer of _WORKSPACES, 2.6 MB at most.
     """
     s = np.zeros(1 + sum(counts))
     xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
@@ -214,10 +226,22 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                 if np.shape(coeffs.h) != shape:
                     message = "a schedule callable gave h of shape {}, expected {}"
                     raise ValueError(message.format(np.shape(coeffs.h), shape))
-                ops = operator(coeffs)
-                starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
-                increments = _rk4_increment(h, starts, mids, ends)
-                x = record(x, _chain(increments, x), h, ops[0], ends)
+                # 5k + 1 slots of d x d doubles from the pool, taken only after the
+                # callable ran, so a callable that integrates cannot reach them
+                k, size = len(edges) - 1, x.size**2
+                need = (5 * k + 1) * size
+                work = _WORKSPACES.pop() if _WORKSPACES else np.empty(0)
+                if len(work) < need:
+                    work = np.empty(need)
+                try:
+                    slots = work[:need].reshape(-1, size)
+                    ops = operator(coeffs, out=slots[: 2 * k + 1])
+                    starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
+                    temps = slots[2 * k + 1 :].reshape(3, *starts.shape)
+                    increments = _rk4_increment(h, starts, mids, ends, temps)
+                    x = record(x, _chain(increments, x), h, ops[0], ends)
+                finally:
+                    _WORKSPACES.append(work)
         else:
             start = operator(hamiltonian)
             increment = _rk4_increment(h, start, start, start)
@@ -253,12 +277,13 @@ _GENERATOR_INDEX = (
 ).ravel()
 
 
-def _state_generator(coeffs):
-    """Real 6x6 form of -iH acting on psi.view(float), or a stack of them."""
+def _state_generator(coeffs, out=None):
+    """Real 6x6 form of -iH acting on psi.view(float), or a stack of k of them,
+    written into out of shape (k, 36) when given."""
     matrix = coeffs.matrix()
     parts = matrix.view(float).reshape(matrix.shape[:-2] + (18,))
     signed = np.concatenate((parts, -parts), axis=-1)
-    generator = np.take(signed, _GENERATOR_INDEX, axis=-1, mode="wrap")
+    generator = np.take(signed, _GENERATOR_INDEX, axis=-1, mode="wrap", out=out)
     return generator.reshape(matrix.shape[:-2] + (6, 6))
 
 
@@ -297,9 +322,9 @@ def integrate_state(psi0, schedule, step=1e-3):
     )
 
 
-def _adjoint_operator(coeffs):
+def _adjoint_operator(coeffs, out=None):
     # 2 h ^ n is linear in n; each entry of F.h has at most two terms
-    entries = su3.two_term_sum(coeffs.h, su3.F_TERMS)
+    entries = su3.two_term_sum(coeffs.h, su3.F_TERMS, out)
     entries *= 2.0
     return entries.reshape(entries.shape[:-1] + (8, 8))
 

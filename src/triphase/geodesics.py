@@ -232,17 +232,9 @@ def geodesic_hamiltonian_family(s, a, b, c, d):
     doubles as the scalar calls.
     """
     sin_s, cos_s = np.sin(s), np.cos(s)
-    h = np.stack(
-        np.broadcast_arrays(
-            a * cos_s,
-            b * cos_s,
-            su3.SQRT3 * c + d * (cos_s * cos_s - sin_s * sin_s),
-            -a * sin_s,
-            -b * sin_s,
-            d * cos_s * sin_s,
-            -1.0,
-            c,
-        ),
-        axis=-1,
-    )
+    h = np.empty(np.broadcast_shapes(*map(np.shape, (s, a, b, c, d))) + (8,))
+    h[..., 0], h[..., 1] = a * cos_s, b * cos_s
+    h[..., 2] = su3.SQRT3 * c + d * (cos_s * cos_s - sin_s * sin_s)
+    h[..., 3], h[..., 4], h[..., 5] = -a * sin_s, -b * sin_s, d * cos_s * sin_s
+    h[..., 6], h[..., 7] = -1.0, c
     return HamiltonianCoeffs((2.0 / su3.SQRT3) * c - d * sin_s * sin_s, h)

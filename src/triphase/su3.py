@@ -118,18 +118,20 @@ F_TERMS = _two_term_form(F.transpose(1, 0, 2).reshape(8, 64))
 """Two-term form of F.h: column (r, t) gives F[r, s, t] h_s summed over s."""
 
 
-def two_term_sum(h, terms):
+def two_term_sum(h, terms, out=None):
     """Columns sum_s h_s T[s, m] of a table T given by its two-term form.
 
-    h may carry leading batch dimensions.  The doubles are those of the
-    einsum over T: its zero terms change no nonzero sum, a sum of two
-    products rounds the same in either order, and the final + 0.0 turns a
-    -0 into the +0 an einsum accumulator gives.  The few second terms go
-    in column by column, as a fancy-indexed write of them costs more.
+    h may carry leading batch dimensions; out, if given, takes the result.
+    The doubles are those of the einsum over T: its zero terms change no
+    nonzero sum, a sum of two products rounds the same in either order, and
+    the final + 0.0 turns a -0 into the +0 an einsum accumulator gives.  The
+    few second terms go in column by column, as a fancy-indexed write of
+    them costs more.
     """
     index, coeff, seconds = terms
     h = np.asarray(h, dtype=float)
-    total = np.take(h, index, axis=-1, mode="wrap")  # in range; "wrap" skips the bounds check
+    # in range; "wrap" skips the bounds check
+    total = np.take(h, index, axis=-1, mode="wrap", out=out)
     total *= coeff
     for column, row, second in seconds:
         total[..., column] += h[..., row] * second
@@ -157,9 +159,9 @@ def assert_special_unitary(matrix):
     """Raise NotSpecialUnitary unless A is unitary with det A = 1 within 1e-12."""
     a = np.asarray(matrix, dtype=complex)
     unitarity = np.abs(a.conj().T @ a - np.eye(3)).max()
-    det_defect = abs(np.linalg.det(a) - 1.0)
-    worst = max(unitarity, det_defect)
-    if worst > 1e-12:
+    # a non-finite unitarity decides alone, as det would warn on a NaN entry
+    worst = max(unitarity, abs(np.linalg.det(a) - 1.0)) if np.isfinite(unitarity) else unitarity
+    if not (worst <= 1e-12):  # a NaN fails too
         raise NotSpecialUnitary(f"max deviation from SU(3) is {worst:.3e}")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -371,16 +373,37 @@ def test_callable_path_matches_stage_form(coefficients, duration, step, one_step
     assert_matches_stage_reference(schedule, step, states.random_state(seed))
 
 
+def split_family(s):
+    return geodesics.geodesic_hamiltonian_family(s, -0.6, 0.9, 0.2, -0.4)
+
+
+def split_schedule(family=split_family):
+    # two callable segments of 350 and 250 steps at 1e-3, around a constant one
+    constant = geodesics.HamiltonianCoeffs(-0.2, np.linspace(1.0, -1.0, 8) * 0.3)
+    return evolution.Schedule(((family, 0.35), (constant, 0.2), (family, 0.25)))
+
+
+def both_pictures(schedule):
+    psi0 = states.random_state(6)
+    by_state = evolution.integrate_state(psi0, schedule, 1e-3)
+    return by_state, evolution.integrate_nvector(states.n_vector_of(psi0), schedule, 1e-3)
+
+
+def result_arrays(by_state, by_vector):
+    fields = ("s", "psi", "n", "phi_p", "phi_dyn")
+    named = {f"state.{name}": getattr(by_state, name) for name in fields}
+    return named | {"nvector.s": by_vector.s, "nvector.n": by_vector.n}
+
+
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_blocks_split_callable_segments(monkeypatch, block):
     calls = []
 
     def family(s):
         calls.append(np.size(s))
-        return geodesics.geodesic_hamiltonian_family(s, -0.6, 0.9, 0.2, -0.4)
+        return split_family(s)
 
-    constant = geodesics.HamiltonianCoeffs(-0.2, np.linspace(1.0, -1.0, 8) * 0.3)
-    schedule = evolution.Schedule(((family, 0.35), (constant, 0.2), (family, 0.25)))
+    schedule = split_schedule(family)
     psi0 = states.random_state(6)
     whole_state = evolution.integrate_state(psi0, schedule, 1e-3)
     whole_vector = evolution.integrate_nvector(states.n_vector_of(psi0), schedule, 1e-3)
@@ -404,6 +427,77 @@ def test_blocks_split_callable_segments(monkeypatch, block):
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# sha256 of the split schedule's recorded doubles, taken before callable blocks ran in a
+# reused workspace: how the block's arrays are held must not move a double
+PINNED_CALLABLE = {
+    "state.s": "95104f76873ba13854151ebe548236c59939fc370472fe4e0b0e57d381baf70e",
+    "state.psi": "41b0a0b2f7239c03409f64204db0645c72d5775a20228e2366ee38ef08b64119",
+    "state.n": "c8dcf8f21f40f452c684e1a5f7939e5d132e568ef90830217bdbf50bba688c9d",
+    "state.phi_p": "0518abddbbf06aff0455b5d1b907fe8bb638f11320148e46b32687b8ee98d8cd",
+    "state.phi_dyn": "4a1c4e6b9aba2673cb2cce4783bf0129d402aa4c6664a7d9afe1e2a794bea52b",
+    "nvector.s": "95104f76873ba13854151ebe548236c59939fc370472fe4e0b0e57d381baf70e",
+    "nvector.n": "204c67af25b8220562b22af38cb63a108cd872634bfc165b4ac8fea7b747325d",
+}
+
+
+def test_callable_path_bytes_pinned():
+    for _ in range(2):  # the second run reuses the first one's workspace
+        arrays = result_arrays(*both_pictures(split_schedule()))
+        digests = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+        assert digests == PINNED_CALLABLE
+
+
+@pytest.mark.parametrize("block", [100, 1024])
+def test_nested_run_matches_unnested(monkeypatch, block):
+    monkeypatch.setattr(evolution, "_BLOCK_STEPS", block)
+    n0 = states.POLES[2]
+    alone = evolution.integrate_nvector(n0, split_schedule(), 1e-3)
+    expected = result_arrays(*both_pictures(split_schedule()))
+    inner = []
+
+    def family(s):  # integrates a callable schedule of its own on every call
+        inner.append(evolution.integrate_nvector(n0, split_schedule(), 1e-3))
+        return split_family(s)
+
+    nested = result_arrays(*both_pictures(split_schedule(family)))
+    assert len(inner) == 2 * (-(-350 // block) - (-250 // block))
+    assert all(same_bits(nested[name], expected[name]) for name in expected)
+    assert all(same_bits(run.n, alone.n) and same_bits(run.s, alone.s) for run in inner)
+
+
+def test_results_share_no_memory_with_the_workspace():
+    arrays = result_arrays(*both_pictures(split_schedule()))
+    assert evolution._WORKSPACES
+    for buffer in evolution._WORKSPACES:
+        assert not any(np.shares_memory(a, buffer) for a in arrays.values())
+
+
+def test_result_survives_later_calls(monkeypatch):
+    def family_schedule(duration):
+        return evolution.Schedule(((split_family, duration),))
+
+    monkeypatch.setattr(evolution, "_WORKSPACES", [])
+    first = result_arrays(*both_pictures(family_schedule(0.3)))
+    kept = {name: a.copy() for name, a in first.items()}
+    (small,) = evolution._WORKSPACES
+    both_pictures(family_schedule(0.9))
+    (grown,) = evolution._WORKSPACES
+    assert len(grown) > len(small)
+    both_pictures(family_schedule(0.1))
+    (last,) = evolution._WORKSPACES
+    assert last is grown
+    assert all(same_bits(first[name], kept[name]) for name in kept)
+
+
+def test_repeat_call_reuses_the_workspace(monkeypatch):
+    monkeypatch.setattr(evolution, "_WORKSPACES", [])
+    both_pictures(split_schedule())
+    buffers = [id(buffer) for buffer in evolution._WORKSPACES]
+    assert len(buffers) == 1
+    both_pictures(split_schedule())
+    assert [id(buffer) for buffer in evolution._WORKSPACES] == buffers
 
 
 # h0 and h with signed zeros, where a sum of zero terms must come out +0

@@ -145,7 +145,11 @@ def test_random_special_unitary_seeded():
 
 
 def test_assert_special_unitary_rejects():
-    with pytest.raises(NotSpecialUnitary):
-        su3.assert_special_unitary(np.diag([1.0, 1.0, -1.0]))
-    with pytest.raises(NotSpecialUnitary):
-        su3.assert_special_unitary(2.0 * np.eye(3))
+    one_nan = np.eye(3, dtype=complex)
+    one_nan[1, 2] = np.nan
+    nan = np.full((3, 3), np.nan)
+    for matrix in (np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), nan, one_nan):
+        with pytest.raises(NotSpecialUnitary):
+            su3.assert_special_unitary(matrix)
+        with pytest.raises(NotSpecialUnitary):
+            su3.adjoint_of(matrix)
