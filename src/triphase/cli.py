@@ -3,7 +3,11 @@
 Machine summaries go out as JSON lines, sampled curves as CSV with a
 trailing '#' comment carrying the run summary.  All floats are printed
 with 17 significant digits so doubles round-trip exactly, and output for
-a fixed seed and flag set is byte-identical across runs.
+a fixed seed and flag set is byte-identical across runs.  A CSV value is
+the text of '%.17g' % v: the vector writer in csvtext computes it from a
+correctly rounded 17-digit decimal for whole tables at once, and hands
+zero, inf, nan, magnitudes outside 1e-99..1e100 and near-ties to Python's
+'%.17g'.
 
 Exit codes: 0 success, 1 failed invariant sweep, 2 bad parameter or
 range violation, 3 orthogonal states where a phase or geodesic needs an
@@ -38,15 +42,6 @@ MAX_CHECK_TRIALS = 10**4
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_rows(table):
-    """One CSV line per row of a float table, 17 significant digits each.
-
-    '%.17g' % v gives the same text as format(v, ".17g"), one row per call.
-    """
-    template = ",".join(["%.17g"] * table.shape[1])
-    return [template % tuple(row) for row in table.tolist()]
-
-
 def _render(obj):
     """Compact JSON with 17-significant-digit floats."""
     if obj is None:
@@ -70,15 +65,25 @@ def _emit(text, out, columns=(), tail=""):
     """Write text, then the columns as CSV rows, then tail, to out or stdout.
 
     columns are arrays of equal length, each 1-D or 2-D, laid side by side
-    into rows; they are stacked, formatted and written _CSV_BLOCK_ROWS rows
-    at a time, so no copy of the whole table or its text is ever built.
+    into rows; they are stacked _CSV_BLOCK_ROWS rows at a time, so no copy
+    of the whole table or its text is ever built.  csvtext.csv_chunks
+    formats and writes each block: every value as '%.17g' % v prints it,
+    from the vector path where its 17 digits are proven, else from Python's
+    '%.17g' (zero, inf, nan, E = floor(log10|v|) outside
+    csvtext.FAST_EXPONENTS, or a rounding within csvtext.ROUNDING_GUARD of
+    a tie).
     """
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
         handle.write(text)
         length = len(columns[0]) if columns else 0
-        for first in range(0, length, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[first : first + _CSV_BLOCK_ROWS] for c in columns])
-            handle.write("\n".join(_csv_rows(block)) + "\n")
+        if length:
+            # imported here: compiling the writer added about 1.5 ms to every
+            # import of cli on a 2-vCPU x86 host, and most runs print no table
+            from . import csvtext
+
+            for first in range(0, length, _CSV_BLOCK_ROWS):
+                block = np.column_stack([c[first : first + _CSV_BLOCK_ROWS] for c in columns])
+                handle.writelines(csvtext.csv_chunks(block))
         handle.write(tail)
 
 

@@ -158,10 +158,12 @@ def star(a, b):
 def assert_special_unitary(matrix):
     """Raise NotSpecialUnitary unless A is unitary with det A = 1 within 1e-12."""
     a = np.asarray(matrix, dtype=complex)
+    # tested first: A^dag A would take inf * 0, and det would warn on a NaN
+    if not np.isfinite(a).all():
+        raise NotSpecialUnitary("matrix has a non-finite entry")
     unitarity = np.abs(a.conj().T @ a - np.eye(3)).max()
-    # a non-finite unitarity decides alone, as det would warn on a NaN entry
-    worst = max(unitarity, abs(np.linalg.det(a) - 1.0)) if np.isfinite(unitarity) else unitarity
-    if not (worst <= 1e-12):  # a NaN fails too
+    worst = max(unitarity, abs(np.linalg.det(a) - 1.0))
+    if not (worst <= 1e-12):
         raise NotSpecialUnitary(f"max deviation from SU(3) is {worst:.3e}")
 
 

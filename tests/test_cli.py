@@ -484,6 +484,25 @@ def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
         assert (tmp_path / f"split{k}.csv").read_bytes() == whole[k]
 
 
+def test_geodesic_across_blocks_matches_row_template(tmp_path):
+    # 20000 rows span five _CSV_BLOCK_ROWS blocks and many writer passes
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.csv"
+    psi1, psi2 = states.random_state(3), states.random_state(4)
+    write_state(a, psi1)
+    write_state(b, psi2)
+    assert cli.main(["geodesic", str(a), str(b), "--samples", "20000", "--out", str(out)]) == 0
+    assert 20000 > 4 * cli._CSV_BLOCK_ROWS
+    curve = geodesics.geodesic_between(states.density_of(psi1), states.density_of(psi2))
+    grid = np.linspace(0.0, curve.length, 20000)
+    table = np.column_stack((grid, states.n_vectors_of(curve(grid))))
+    template = ",".join(["%.17g"] * table.shape[1])
+    text = out.read_text()
+    tail = text[text.rindex("\n#") + 1 :]
+    header = "s," + ",".join(f"n{k}" for k in range(1, 9)) + "\n"
+    rows = "".join(template % tuple(row) + "\n" for row in table.tolist())
+    assert text == header + rows + tail
+
+
 def test_parser_built_once_and_handler_looked_up_per_call(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []

@@ -148,7 +148,11 @@ def test_assert_special_unitary_rejects():
     one_nan = np.eye(3, dtype=complex)
     one_nan[1, 2] = np.nan
     nan = np.full((3, 3), np.nan)
-    for matrix in (np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), nan, one_nan):
+    # an inf entry must not first warn that A^dag A took inf * 0
+    one_inf = np.eye(3, dtype=complex)
+    one_inf[0, 0] = np.inf
+    inf = np.full((3, 3), np.inf)
+    for matrix in (np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), nan, one_nan, inf, one_inf):
         with pytest.raises(NotSpecialUnitary):
             su3.assert_special_unitary(matrix)
         with pytest.raises(NotSpecialUnitary):
