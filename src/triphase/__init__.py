@@ -45,7 +45,6 @@ from .geodesics import (
     geodesic_hamiltonian_family,
     in_phase_lift,
     planarity_test,
-    polygon_lift,
     polygon_sides,
     span_rank,
 )

@@ -255,7 +255,7 @@ def check_length_and_zero_phase(rng):
     "phases.su3_invariance",
 )
 def check_triangle_oracles(rng):
-    # redraw, like the orthogonality screen, until the sides avoid the chart's edge
+    # redraw, like the orthogonality screen, until no vertex is at the chart's edge
     while True:
         psis = _nonorthogonal_states(rng)
         rhos = [states.density_of(p) for p in psis]

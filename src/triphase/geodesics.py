@@ -116,20 +116,6 @@ def polygon_sides(rhos):
     return _geodesics_from_in_phase(chain[:-1], chain[1:])
 
 
-def polygon_lift(sides, per_arc):
-    """(s, psi_samples) of each polygon_sides side: linspace(0, length, per_arc) and the
-    curve's doubles there, psi_samples the (per_arc, 3) transpose of a (3, per_arc) block."""
-    if per_arc < 2:
-        raise TooFewSamples("need at least two samples per side")
-    lengths = np.array([g.length for g in sides])
-    grids = np.arange(per_arc, dtype=float) * (lengths / (per_arc - 1))[:, None]
-    grids[:, -1] = lengths
-    starts, tangents = np.array([g.psi0 for g in sides]), np.array([g.tangent for g in sides])
-    cos, sin = np.cos(grids)[:, None], np.sin(grids)[:, None]
-    block = starts[..., None] * cos + tangents[..., None] * sin
-    return [(s, b.T) for s, b in zip(grids, block)]
-
-
 def curve_length(s, psis):
     """Length of a sampled curve under the Fubini-Study functional.
 

@@ -263,11 +263,14 @@ def _sides_line_integral(sides):
     total = 0.0
     if jumps.any():
         # arg psi_3 turns by up to pi inside the innermost panel: no node
-        # sees that, the wrapped chi increments between its ends do
+        # sees that, the wrapped chi increments between its ends do.  Each
+        # arg psi_j is wrapped once, so both chi_k take psi_3's half turn with
+        # one sign, and as w1 + w2 = 1 either sign gives the same branch
         ends = edges[jumps, _INNER : _INNER + 2, None]
         ends = p0[jumps, None] * np.cos(ends) + v0[jumps, None] * np.sin(ends)
-        step = np.diff(np.angle(ends[..., :2] * ends[..., 2:].conj()), axis=1)
-        step -= 2 * np.pi * np.rint(step / (2 * np.pi))
+        turns = np.diff(np.angle(ends), axis=1)
+        turns -= 2 * np.pi * np.rint(turns / (2 * np.pi))
+        step = turns[..., :2] - turns[..., 2:]
         weights = ends[..., :2].real ** 2 + ends[..., :2].imag ** 2
         total -= float((weights.mean(axis=1, keepdims=True) * step).sum())
         used[jumps, _INNER] = False
@@ -282,11 +285,13 @@ def _sides_line_integral(sides):
 def triangle_line_integral_phase(rho1, rho2, rho3):
     """Line-integral phase of the geodesic triangle through three densities.
 
-    A 200-sample scan finds the sides' smallest |psi_3|; below 2e-4 the
-    chart is unusable.  Each side psi(s) = psi0 cos s + v sin s is then
-    integrated by one fixed rule, the one-form evaluated on the exact
-    tangent.  The side's closest approach s* to psi_3 = 0 comes in closed
-    form, and the side is rewritten from there as p0 cos u + v0 sin u,
+    A vertex lift with |psi_3| <= 2e-4 raises ChartSingular.  The rule
+    below loses digits as a side's end nears psi_3 = 0 (2e-11 at 1e-5), not
+    as its inside does, down to an exact crossing; a side near psi_3 = 0
+    throughout has both ends there.  Each side psi(s) = psi0 cos s + v sin s
+    is integrated by one fixed rule, the one-form evaluated on the exact
+    tangent.  The side's closest approach s* to psi_3 = 0 comes in
+    closed form, and the side is rewritten from there as p0 cos u + v0 sin u,
     u = s - s*, so psi_3 near a near-zero carries no cancellation.  The
     one-form's near-poles lie about delta = |p0_3| / |v0_3| from s*, so
     panels break at s* +- delta / 0.3^k, clipped to the side, each with 24
@@ -297,10 +302,9 @@ def triangle_line_integral_phase(rho1, rho2, rho3):
     most 37 panels, so every call has the same cost cap.
     """
     sides = geodesics.polygon_sides([rho1, rho2, rho3])
-    scan = geodesics.polygon_lift(sides, per_arc=200)
-    closest = np.abs(np.array([p[:, 2] for _, p in scan])).min()
+    closest = min(abs(g.psi0[2]) for g in sides)
     if closest <= 2e-4:
-        raise ChartSingular(f"triangle reaches |psi_3| = {closest:.3e}; chart breaks down")
+        raise ChartSingular(f"a vertex has |psi_3| = {closest:.3e}; chart breaks down")
     return PhaseResult(principal_branch(_sides_line_integral(sides)), "line-integral")
 
 

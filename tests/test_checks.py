@@ -5,8 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from triphase import checks, cli, evolution, phases, su3
-from triphase.errors import OutOfRange
+from triphase import checks, cli, evolution, phases, states, su3
+from triphase.errors import ChartSingular, OutOfRange
 
 # stdout sha256 and exit code of whole 'check' runs; a change to how the
 # sweeps are written must leave every byte of the report as it is
@@ -17,18 +17,34 @@ PINNED_REPORTS = {
     ("--trials", "2", "--tol", "algebra.tables=1e-20"): (
         1, "362dcfbef922eb2218caa8e317d90ef7d08c1bb1076bc6a5a1e6d33a01530f62"
     ),
-    # the first triangle of this seed grazes the chart's edge and is redrawn
+    # the first triangle of this seed passes near psi_3 = 0 inside a side;
+    # its vertices stay off the chart's edge, so the sweep keeps it
     ("--seed", "1352247602", "--trials", "1"): (
-        0, "ffe194c3bcb38086e0a4571d27588da44433bcc136f7719ef1600dac8041cb74"
+        0, "a18d5e2da8f85b49a1df17186a7a78515de936b38f59d8866edb6731c4ba38f2"
     ),
 }
 
 
-def test_sweep_redraws_triangles_off_the_chart_edge():
-    # the first triangle of this seed grazes |psi_3| = 0, where the chart
-    # line integral is undefined; the sweep draws again from the same stream
-    report = checks.run_all(seed=1352247602, trials=1)
-    assert report["all_passed"] is True
+def test_sweep_redraws_triangles_off_the_chart_edge(monkeypatch):
+    # a triangle the chart line integral rejects is drawn again from the
+    # same stream, and every oracle of the trial measures the new draw
+    seen, original = [], phases.triangle_line_integral_phase
+
+    def singular_first(*rhos):
+        seen.append(rhos)
+        if len(seen) == 1:
+            raise ChartSingular("injected")
+        return original(*rhos)
+
+    monkeypatch.setattr(phases, "triangle_line_integral_phase", singular_first)
+    # line_integral_agreement compares the second draw's line integral with
+    # the closed form of the triangle the trial went on with
+    assert all(r.passed for r in checks.check_triangle_oracles(5, 1))
+    stream = checks._rng(5, 0)
+    draws = [checks._nonorthogonal_states(stream) for _ in range(2)]
+    assert len(seen) == 2
+    for rhos, psis in zip(seen, draws):
+        assert all(np.array_equal(r, states.density_of(p)) for r, p in zip(rhos, psis))
 
 
 def test_bounded_names_match_the_sweeps():

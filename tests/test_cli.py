@@ -120,6 +120,22 @@ def test_phase_triangle_bad_angle():
     assert proc.returncode == 2
 
 
+def test_phase_triangle_chart_edge():
+    # the side psi2 -> psi3 crosses psi_3 = 0 between its vertices: integrable
+    proc = run_in_process(
+        "phase-triangle", "--xi", "1.309972", "--eta", "1.372258", "--zeta", PI_2, "--chi2",
+        repr(math.pi),
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout.strip().split("\n")[-1])["max_discrepancy"] < 1e-11
+    # psi2 = (0, sin xi, cos xi) has |psi_3| = 1.96e-4, at the chart's edge
+    proc = run_in_process(
+        "phase-triangle", "--xi", "1.5706", "--eta", "1.0", "--zeta", "1.0", "--chi2", "1.0"
+    )
+    assert proc.returncode == 2
+    assert "chart breaks down" in proc.stderr
+
+
 def test_phase_bargmann(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)

@@ -180,7 +180,7 @@ def test_equivariance_of_geodesics():
         assert np.abs(states.n_vectors_of(moved(grid)) - image).max() < 1e-11
 
 
-def test_polygon_lift_continuous():
+def test_polygon_sides_continuous():
     rng = np.random.default_rng(9)
     while True:
         psis = states.random_states(rng, 3)
@@ -189,21 +189,20 @@ def test_polygon_lift_continuous():
             break
     rhos = [states.density_of(p) for p in psis]
     sides = geodesics.polygon_sides(rhos)
-    pieces = geodesics.polygon_lift(sides, per_arc=300)
-    assert len(pieces) == 3
-    # the pieces are the sides' own samples, row for row
-    for side, (s, lift) in zip(sides, pieces):
-        grid = np.linspace(0.0, side.length, 300)
-        assert np.array_equal(s, grid)
-        assert np.array_equal(lift, side(grid))
-    # each arc carries its own parameter; the lifts chain continuously
-    for (s_a, lift_a), (s_b, lift_b) in zip(pieces, pieces[1:]):
-        assert s_b[0] == 0.0
-        assert np.abs(lift_b[0] - lift_a[-1]).max() < 1e-12
-    # the polygon visits every vertex density
-    for k, (_, lift) in enumerate(pieces):
-        start = lift[0]
+    assert len(sides) == 3
+    # each side carries its own parameter; the lifts chain continuously
+    for side, following in zip(sides, sides[1:]):
+        assert np.abs(following(0.0) - side.endpoint).max() < 1e-12
+    for k, side in enumerate(sides):
+        # the polygon visits every vertex density, and its rays close
+        start = side(0.0)
         assert np.abs(np.outer(start, start.conj()) - rhos[k]).max() < 1e-10
+        end = side.endpoint
+        assert np.abs(np.outer(end, end.conj()) - rhos[(k + 1) % 3]).max() < 1e-10
+        # no jump inside a side either: fine samples move by about their step
+        lift = side(np.linspace(0.0, side.length, 300))
+        step = side.length / 299
+        assert np.abs(np.diff(lift, axis=0)).max() <= step * (1 + 1e-9)
 
 
 def test_constant_hamiltonian_canonical():
@@ -242,31 +241,6 @@ def test_hamiltonian_family_frozen():
     frozen = np.array([1.0, 2.0, 3.0 * SQRT3 + 4.0, 0.0, 0.0, 0.0, -1.0, 3.0])
     assert np.abs(coeffs.h - frozen).max() < 1e-14
     assert abs(coeffs.h0 - 2.0 * SQRT3) < 1e-14
-
-
-def test_polygon_lift_rows_are_the_curves_doubles():
-    rng = np.random.default_rng(21)
-    psis = random_nonorthogonal_pair(rng)
-    third = states.random_state(rng)
-    # the first side joins two copies of one density, so it has length 0
-    rhos = [states.density_of(p) for p in (psis[0], psis[0], psis[1], third)]
-    sides = geodesics.polygon_sides(rhos)
-    assert sides[0].length == 0.0 and min(g.length for g in sides[1:]) > 0.0
-    with pytest.raises(TypeError):  # every caller names its sample count
-        geodesics.polygon_lift(sides)
-    for per_arc in (2, 7, 1201):
-        pieces = geodesics.polygon_lift(sides, per_arc)
-        for side, (s, lift) in zip(sides, pieces):
-            grid = np.linspace(0.0, side.length, per_arc)
-            assert np.array_equal(s, grid)
-            assert np.array_equal(np.signbit(s), np.signbit(grid))
-            want = side(grid)
-            assert lift.shape == (per_arc, 3) and lift.T.flags.c_contiguous
-            for row, expected in zip(lift, want):
-                assert np.array_equal(row, expected)
-                for part in ("real", "imag"):
-                    got, ref = getattr(row, part), getattr(expected, part)
-                    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _sides_reference(rhos):

@@ -323,8 +323,8 @@ def test_triangle_line_integral_through_chart_edge_midpoint():
 
 def test_triangle_line_integral_near_chart_edge_crossing():
     # the side psi2 -> psi3 passes |psi_3| of order t from zero near its
-    # midpoint, between the scan's samples; nodes evaluated from the side's
-    # start would cancel catastrophically there
+    # midpoint; nodes evaluated from the side's start would cancel
+    # catastrophically there
     for zeta in (np.pi / 2, np.pi / 2 - 1e-7):
         for t in (1e-3, 1e-4, 1e-6, -1e-6, 1e-8, 1e-10, -1e-10, 1e-12, 1e-14, 0.0):
             params = phases.TriangleParams(1.2, 1.2, zeta, np.pi + t)
@@ -332,6 +332,77 @@ def test_triangle_line_integral_near_chart_edge_crossing():
             line = phases.triangle_line_integral_phase(*rhos).value
             closed = phases.pancharatnam_phase(params).value
             assert phases.phase_distance(line, closed) < 1e-13, (zeta, t)
+
+
+def _unit(z):
+    return z / np.linalg.norm(z)
+
+
+def _triangle_with_side_through(rng, closest, near_vertex=False):
+    """A triangle whose side psi1 -> psi2 runs along m cos s + t sin s over
+    [lo, hi] around s = 0, where |psi_3| = closest, and whose third vertex is
+    Haar; every phase is complex.  near_vertex puts psi1 just past |psi_3| =
+    2e-4.  None when a vertex falls at or below 2e-4 or a pair is too close
+    to orthogonal."""
+    m = states.random_state(rng)
+    third = closest * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    m = np.array([*_unit(m[:2]) * np.sqrt(1.0 - closest**2), third])
+    t = states.random_state(rng)
+    t = _unit(t - m * np.vdot(m, t))
+    if near_vertex:
+        lo = -2e-4 * rng.uniform(1.01, 1.5) / abs(t[2])
+    else:
+        lo = -rng.uniform(0.05, 0.7)
+    psis = np.array([m * np.cos(s) + t * np.sin(s) for s in (lo, rng.uniform(0.05, 0.7))])
+    psis = np.array([*psis, states.random_state(rng)])
+    pairs = zip(psis, np.roll(psis, -1, axis=0))
+    if abs(psis[:, 2]).min() <= 2e-4 or min(abs(np.vdot(a, b)) ** 2 for a, b in pairs) <= 1e-3:
+        return None
+    return psis
+
+
+def _line_integral_error(psis):
+    line = phases.triangle_line_integral_phase(*(states.density_of(p) for p in psis)).value
+    return phases.phase_distance(line, phases.bargmann_phase(list(psis)).value)
+
+
+def test_triangle_line_integral_exact_crossing_with_complex_phases():
+    # a side through an interior point with psi_3 = 0: arg psi_3 turns by pi
+    # there, and both chi_k must take that turn as the same +pi or -pi, or
+    # the phase is wrong by up to pi
+    rng = np.random.default_rng(20261019)
+    done = 0
+    while done < 300:
+        psis = _triangle_with_side_through(rng, 0.0)
+        if psis is not None:
+            done += 1
+            assert _line_integral_error(psis) < 1e-11
+
+
+def test_triangle_line_integral_near_chart_edge_inside_sides():
+    # only the vertices are guarded: a side may pass within 0 to 1e-4 of
+    # psi_3 = 0 anywhere inside it, also just past a vertex at about 2e-4
+    rng = np.random.default_rng(20261020)
+    done = 0
+    while done < 300:
+        closest = 0.0 if done % 3 == 0 else 10.0 ** rng.uniform(-16.0, -4.0)
+        psis = _triangle_with_side_through(rng, closest, near_vertex=done % 2 == 1)
+        if psis is not None:
+            done += 1
+            assert _line_integral_error(psis) < 1e-11
+
+
+def test_triangle_line_integral_vertex_guard_boundary():
+    rng = np.random.default_rng(20261021)
+    psis = checks._nonorthogonal_states(rng)
+    for scale, accepted in ((1.01, True), (0.99, False)):
+        third = scale * 2e-4
+        psis[0] = [*_unit(psis[0, :2]) * np.sqrt(1.0 - third**2), third * np.exp(0.7j)]
+        if accepted:
+            assert _line_integral_error(psis) < 1e-11
+        else:
+            with pytest.raises(ChartSingular):
+                _line_integral_error(psis)
 
 
 def test_triangle_line_integral_coincident_vertices():
@@ -343,7 +414,8 @@ def test_triangle_line_integral_coincident_vertices():
 
 
 def test_triangle_line_integral_singular():
-    # a vertex with vanishing third component leaves the chart
+    # a vertex with vanishing third component leaves the chart; the guard
+    # raises before the rule divides by |psi_3| (a warning fails the suite)
     singular = [
         states.density_of(np.array([1.0, 0, 0], dtype=complex)),
         states.density_of(np.array([np.cos(0.4), np.sin(0.4), 0], dtype=complex)),
@@ -397,11 +469,14 @@ def test_triangle_line_integral_pinned_doubles():
         assert phases.triangle_line_integral_phase(*rhos).value.hex() == pinned
 
 
-def test_triangle_line_integral_chart_edge_seed_still_singular():
-    # the first draw of check --seed 1352247602 comes too close to psi_3 = 0
+def test_triangle_line_integral_chart_edge_seed_integrates():
+    # the first draw of check --seed 1352247602 passes near psi_3 = 0 inside
+    # a side, away from its vertices, and integrates to the closed form
     psis = checks._nonorthogonal_states(checks._rng(1352247602, 0))
-    with pytest.raises(ChartSingular):
-        phases.triangle_line_integral_phase(*(states.density_of(p) for p in psis))
+    rhos = [states.density_of(p) for p in psis]
+    line = phases.triangle_line_integral_phase(*rhos).value
+    closed = phases.pancharatnam_phase(phases.canonicalize_triangle(*rhos)).value
+    assert phases.phase_distance(line, closed) < 1e-11
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
