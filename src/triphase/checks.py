@@ -19,14 +19,15 @@ from .errors import ChartSingular, OutOfRange
 @dataclass(frozen=True)
 class CheckResult:
     """One check's measured value against its tolerance, from BOUNDS or a
-    --tol override; lower_bound marks a value that must stay at or above it."""
+    --tol override; bound_kind says how the tolerance judges the value:
+    "upper", "lower" (at or above it) or "interval"."""
 
     name: str
     value: float
     tolerance: object
     passed: bool
     trials: int | None = None
-    lower_bound: bool = False
+    bound_kind: str = "upper"
 
 
 # Every check's bound, in report order: an upper bound on the measured
@@ -76,33 +77,31 @@ def _result(name, value, trials=None, bound=None):
     """The check's record, value judged against bound (default: its BOUNDS
     entry).  A NaN value fails every kind of bound."""
     bound = BOUNDS[name] if bound is None else bound
-    lower = name in _LOWER_BOUNDED
     if isinstance(bound, tuple):
-        passed = bound[0] <= value <= bound[1]
+        kind, passed = "interval", bound[0] <= value <= bound[1]
+    elif name in _LOWER_BOUNDED:
+        kind, passed = "lower", value >= bound
     else:
-        passed = value >= bound if lower else value <= bound
-    return CheckResult(name, float(value), bound, bool(passed), trials, lower)
+        kind, passed = "upper", value <= bound
+    return CheckResult(name, float(value), bound, bool(passed), trials, kind)
 
 
 def _rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
 
-def _worst(seed, trials, errors):
-    """Column-wise max of errors(rng) over the trials, each trial with its
-    own generator; unlike a running max(), a NaN measurement propagates."""
-    return np.array([errors(_rng(seed, k)) for k in range(trials)], dtype=float).max(axis=0)
-
-
 def _sweep(*names):
     """Make a per-trial measurement errors(rng), one value per name, into the
     sweep check(seed, trials) judging each name's worst value over the trials.
-    A name measuring several values takes their np.max, which keeps a NaN."""
+    Trial k draws from its own generator _rng(seed, k).  The worst is a
+    column-wise max, and a name measuring several values takes their np.max:
+    unlike a running max(), both keep a NaN."""
 
     def decorate(errors):
         @functools.wraps(errors)
         def check(seed, trials):
-            worst = _worst(seed, trials, errors).reshape(len(names))
+            measured = [errors(_rng(seed, k)) for k in range(trials)]
+            worst = np.array(measured, dtype=float).max(axis=0).reshape(len(names))
             return [_result(name, value, trials) for name, value in zip(names, worst)]
 
         return check
@@ -165,13 +164,10 @@ def check_adjoint(rng):
 
 
 def check_membership(seed, trials):
-    psis = states.random_states(np.random.default_rng([seed, 0]), max(trials, 2))
-    ns = states.n_vectors_of(psis)
+    ns = states.n_vectors_of(states.random_states(_rng(seed, 0), max(trials, 2)))
     norm_defect = np.abs(np.einsum("kr,kr->k", ns, ns) - 1.0).max()
     star_defect = np.abs(su3.star(ns, ns) - ns).max()
-    other = states.n_vectors_of(
-        states.random_states(np.random.default_rng([seed, 1]), max(trials, 2))
-    )
+    other = states.n_vectors_of(states.random_states(_rng(seed, 1), max(trials, 2)))
     angles = np.arccos(np.clip(np.einsum("kr,kr->k", ns, other), -1.0, 1.0))
     excess = np.maximum(0.0, angles.max() - 2.0 * np.pi / 3.0)
     flipped = -ns
@@ -206,34 +202,30 @@ def check_chart_roundtrip(rng):
     ))
 
 
-def check_geodesics(seed, trials):
-    failures = []
-
-    def errors(rng):
-        pair = _nonorthogonal_states(rng, 2)
-        curve = geodesics.geodesic_between(*map(states.density_of, pair))
-        end = curve.endpoint
-        grid = np.linspace(0.0, curve.length, 50)
-        lifts = curve(grid)
-        ns = states.n_vectors_of(lifts)
-        planar, affine_rank = geodesics.planarity_test(ns)
-        failures.append(not planar or affine_rank != 2 or geodesics.span_rank(ns) != 3)
-        unitary = su3.random_special_unitary(rng)
-        mapped = geodesics.geodesic_between(*(states.density_of(unitary @ p) for p in pair))
-        image = states.n_vectors_of(mapped(grid))
-        return (
-            np.abs(np.outer(end, end.conj()) - states.density_of(pair[1])).max(),
-            np.abs(np.einsum("ki,ki->k", lifts.conj(), lifts).real - 1.0).max(),
-            np.abs(image - ns @ su3.adjoint_of(unitary).T).max(),
-        )
-
-    worst_end, worst_norm, worst_equi = _worst(seed, trials, errors)
-    return [
-        _result("geodesics.endpoint_roundtrip", worst_end, trials),
-        _result("geodesics.sample_normalization", worst_norm, trials),
-        _result("geodesics.planarity_failures", sum(failures), trials),
-        _result("geodesics.equivariance", worst_equi, trials),
-    ]
+@_sweep(
+    "geodesics.endpoint_roundtrip",
+    "geodesics.sample_normalization",
+    "geodesics.planarity_failures",
+    "geodesics.equivariance",
+)
+def check_geodesics(rng):
+    pair = _nonorthogonal_states(rng, 2)
+    curve = geodesics.geodesic_between(*map(states.density_of, pair))
+    end = curve.endpoint
+    grid = np.linspace(0.0, curve.length, 50)
+    lifts = curve(grid)
+    ns = states.n_vectors_of(lifts)
+    planar, affine_rank = geodesics.planarity_test(ns)
+    unitary = su3.random_special_unitary(rng)
+    mapped = geodesics.geodesic_between(*(states.density_of(unitary @ p) for p in pair))
+    image = states.n_vectors_of(mapped(grid))
+    return (
+        np.abs(np.outer(end, end.conj()) - states.density_of(pair[1])).max(),
+        np.abs(np.einsum("ki,ki->k", lifts.conj(), lifts).real - 1.0).max(),
+        # 1 when the image curve is not planar with affine rank 2 and span rank 3
+        float(not planar or affine_rank != 2 or geodesics.span_rank(ns) != 3),
+        np.abs(image - ns @ su3.adjoint_of(unitary).T).max(),
+    )
 
 
 @_sweep("geodesics.length", "geodesics.zero_phase")

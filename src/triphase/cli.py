@@ -11,7 +11,8 @@ zero, inf, nan, magnitudes outside 1e-99..1e100 and near-ties to Python's
 
 Exit codes: 0 success, 1 failed invariant sweep, 2 bad parameter or
 range violation, 3 orthogonal states where a phase or geodesic needs an
-overlap, 4 unreadable or malformed input file.
+overlap, 4 unreadable or malformed input file, or an output that cannot be
+opened or written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from itertools import combinations
 
@@ -29,8 +31,8 @@ from . import checks, evolution, geodesics, phases, states
 from .errors import NotNormalized, OrthogonalityError, OutOfRange, TriphaseError
 
 
-class _InputError(Exception):
-    """Unreadable or malformed input file; carries the exit code 4."""
+class _FileError(Exception):
+    """Input that cannot be read or parsed, or output that cannot be written: exit 4."""
 
 
 # Work budgets: the most points one geodesic run may sample, and the most
@@ -71,20 +73,30 @@ def _emit(text, out, columns=(), tail=""):
     from the vector path where its 17 digits are proven, else from Python's
     '%.17g' (zero, inf, nan, E = floor(log10|v|) outside
     csvtext.FAST_EXPONENTS, or a rounding within csvtext.ROUNDING_GUARD of
-    a tie).
+    a tie).  An output that cannot be opened or written raises _FileError,
+    and a failed stdout is pointed at os.devnull so that the interpreter's
+    final flush of its buffer cannot fail again.
     """
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
-        handle.write(text)
-        length = len(columns[0]) if columns else 0
-        if length:
-            # imported here: compiling the writer added about 1.5 ms to every
-            # import of cli on a 2-vCPU x86 host, and most runs print no table
-            from . import csvtext
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+            handle.write(text)
+            if columns:
+                # imported here: compiling the writer added about 1.5 ms to every
+                # import of cli on a 2-vCPU x86 host, and most runs print no table
+                from . import csvtext
 
-            for first in range(0, length, _CSV_BLOCK_ROWS):
-                block = np.column_stack([c[first : first + _CSV_BLOCK_ROWS] for c in columns])
-                handle.writelines(csvtext.csv_chunks(block))
-        handle.write(tail)
+                for first in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                    rows = slice(first, first + _CSV_BLOCK_ROWS)
+                    block = np.column_stack([c[rows] for c in columns])
+                    handle.writelines(csvtext.csv_chunks(block))
+            handle.write(tail)
+            handle.flush()
+    except OSError as exc:
+        if not out:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _FileError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _load_json(path):
@@ -92,9 +104,9 @@ def _load_json(path):
         with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise _FileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise _FileError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _state_from_obj(obj, source):
@@ -102,7 +114,7 @@ def _state_from_obj(obj, source):
         psi = states.state_from_json(obj)
         states.assert_normalized(psi)
     except (ValueError, TypeError, NotNormalized) as exc:
-        raise _InputError(f"bad state in {source}: {exc}") from exc
+        raise _FileError(f"bad state in {source}: {exc}") from exc
     return psi
 
 
@@ -113,9 +125,9 @@ def _load_state(path):
 def _load_state_list(path, expect=None):
     data = _load_json(path)
     if not isinstance(data, list):
-        raise _InputError(f"{path} must hold a JSON list of states")
+        raise _FileError(f"{path} must hold a JSON list of states")
     if expect is not None and len(data) != expect:
-        raise _InputError(f"{path} must hold exactly {expect} states, got {len(data)}")
+        raise _FileError(f"{path} must hold exactly {expect} states, got {len(data)}")
     return [_state_from_obj(obj, path) for obj in data]
 
 
@@ -229,33 +241,26 @@ def cmd_check(args):
         raise OutOfRange(f"trials = {args.trials}, over the budget of {MAX_CHECK_TRIALS}")
     overrides = _parse_overrides(args.tol)
     report = checks.run_all(seed=args.seed, trials=args.trials, overrides=overrides)
-    lines = []
-    for r in report["results"]:
-        lines.append(
-            _render(
-                {
-                    "check": r.name,
-                    "value": r.value,
-                    "tolerance": r.tolerance,
-                    "bound": "lower"
-                    if r.lower_bound
-                    else ("interval" if isinstance(r.tolerance, tuple) else "upper"),
-                    "trials": r.trials,
-                    "passed": r.passed,
-                }
-            )
-        )
-    lines.append(
+    lines = [
         _render(
             {
-                "seed": report["seed"],
-                "trials": report["trials"],
-                "checks": len(report["results"]),
-                "all_passed": report["all_passed"],
+                "check": r.name,
+                "value": r.value,
+                "tolerance": r.tolerance,
+                "bound": r.bound_kind,
+                "trials": r.trials,
+                "passed": r.passed,
             }
         )
-    )
-    _emit("\n".join(lines) + "\n", args.out)
+        for r in report["results"]
+    ]
+    summary = {
+        "seed": report["seed"],
+        "trials": report["trials"],
+        "checks": len(report["results"]),
+        "all_passed": report["all_passed"],
+    }
+    _emit("\n".join([*lines, _render(summary)]) + "\n", args.out)
     return 0 if report["all_passed"] else 1
 
 
@@ -312,7 +317,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except _InputError as exc:
+    except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OrthogonalityError as exc:

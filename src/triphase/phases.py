@@ -338,30 +338,18 @@ def solid_angle_reduction(params):
         cos(phi_g) = (1 + cos a + cos b + cos c)
                      / (4 cos(a/2) cos(b/2) cos(c/2))
 
-    with |phi_g| equal to half the solid angle enclosed by the triangle.
-    Both identities are verified internally; the sign of phi_g carries
-    the orientation and is read off the closed form.  Returns the sides
-    and the (unsigned) solid angle.
+    with |phi_g| equal to half the solid angle enclosed by the triangle;
+    the sign of phi_g carries the orientation.  Returns the sides and the
+    (unsigned) solid angle; the 'check' sweep check_two_level verifies
+    both identities against the closed form.
     """
     t = params
     if abs(t.zeta - np.pi / 2) > 1e-12:
         raise NotTwoLevel(f"zeta = {t.zeta!r} is not pi/2")
-    phase = pancharatnam_phase(t).value
     side_a, side_b = 2.0 * t.xi, 2.0 * t.eta
     chord = abs(
         np.cos(t.xi) * np.cos(t.eta)
         + np.sin(t.xi) * np.sin(t.eta) * np.exp(1j * t.chi2)
     )
     side_c = 2.0 * float(np.arccos(np.clip(chord, 0.0, 1.0)))
-    excess = spherical_excess(side_a, side_b, side_c)
-    half_angle_product = (
-        4.0 * np.cos(0.5 * side_a) * np.cos(0.5 * side_b) * np.cos(0.5 * side_c)
-    )
-    cosine_identity = (
-        1.0 + np.cos(side_a) + np.cos(side_b) + np.cos(side_c)
-    ) / half_angle_product
-    if abs(np.cos(phase) - cosine_identity) > 1e-9:
-        raise ValueError("two-level cosine identity failed; inconsistent inputs")
-    if abs(abs(phase) - 0.5 * excess) > 1e-8:
-        raise ValueError("phase does not match half the solid angle")
-    return TwoLevelReduction(side_a, side_b, side_c, excess)
+    return TwoLevelReduction(side_a, side_b, side_c, spherical_excess(side_a, side_b, side_c))

@@ -103,7 +103,8 @@ def test_criterion_06_planarity_not_great_circle():
         6,
         "planarity",
         ok,
-        f"rank failures {failures:.0f}/100, canonical plane residual {plane_residual:.2e} < 1e-12",
+        f"rank failure in any of 100 trials: {failures:.0f}, "
+        f"canonical plane residual {plane_residual:.2e} < 1e-12",
     )
 
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from triphase import checks, cli, evolution, phases, states, su3
+from triphase import checks, cli, evolution, geodesics, phases, states, su3
 from triphase.errors import ChartSingular, OutOfRange
 
 # stdout sha256 and exit code of whole 'check' runs; a change to how the
@@ -119,6 +119,24 @@ def test_nan_measurement_fails_its_check(monkeypatch):
     assert cosine.passed is True
 
 
+def test_planarity_failure_fails_its_check(monkeypatch):
+    # trial 1 of three reports an image curve of affine rank 3; the check
+    # reads the worst trial's 0/1, and the other geodesic checks still pass
+    calls, original = [], geodesics.planarity_test
+
+    def rank_3_on_second_trial(ns):
+        calls.append(ns)
+        planar, affine_rank = original(ns)
+        return (False, 3) if len(calls) == 2 else (planar, affine_rank)
+
+    monkeypatch.setattr(geodesics, "planarity_test", rank_3_on_second_trial)
+    results = {r.name: r for r in checks.check_geodesics(600, 3)}
+    assert len(calls) == 3
+    failures = results.pop("geodesics.planarity_failures")
+    assert failures.value == 1.0 and failures.passed is False and failures.trials == 3
+    assert all(r.passed for r in results.values())
+
+
 def test_nan_fails_every_kind_of_bound():
     for name in ("algebra.tables", "states.antipode_excluded", "evolution.convergence_order"):
         assert checks._result(name, np.nan).passed is False
@@ -150,6 +168,8 @@ MUTATIONS = {
     "gauss_weights": (phases, "_WEIGHTS", lambda w: w * (1 + 1e-9)),
     "gauss_nodes": (phases, "_NODES", lambda x: x * (1 + 1e-9)),
     "rk4_increment": (evolution, "_rk4_increment", lambda f: _scaled(f, 1 + 1e-6)),
+    # the two-level route's solid angle, which check_two_level judges
+    "two_level_excess": (phases, "spherical_excess", lambda f: _scaled(f, 1 + 1e-6)),
     # psi_1 enters unconjugated, so the first factor is psi_1^T psi_2
     "bargmann_conjugate": (
         phases, "bargmann_phase", lambda f: lambda psis: f([np.conj(psis[0]), *psis[1:]])

@@ -2,7 +2,8 @@
 
 Most runs call cli.main in this process.  A subprocess runs
 `python -m triphase` only where the process itself is under test: the
-cross-run determinism tests and one case for each exit code 0-4.
+cross-run determinism tests, one case for each exit code 0-4, and a
+closed stdout.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from typing import NamedTuple
@@ -340,6 +342,37 @@ def test_out_flag(tmp_path):
         "phase-triangle", "--xi", "0.5", "--eta", "0.5", "--zeta", "0.5", "--chi2", "0.5"
     )
     assert out.read_text() == direct.stdout
+
+
+def test_unwritable_out_exits_4(tmp_path):
+    # --out is opened after the work, so the run computes and then exits 4
+    out = tmp_path / "missing" / "result.json"
+    code, stdout, stderr = run_in_process(
+        "phase-triangle", "--xi", "0.5", "--eta", "0.5", "--zeta", "0.5", "--chi2", "0.5",
+        "--out", str(out),
+    )
+    assert code == 4
+    assert stdout == "" and not out.exists()
+    assert stderr.startswith(f"error: cannot write {out}") and stderr.count("\n") == 1
+
+
+def test_closed_stdout_exits_4(tmp_path):
+    # a pipe whose reader is gone, as under `triphase evolve tri.json | head -2`
+    path = tmp_path / "tri.json"
+    canonical_triangle_file(path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triphase", "evolve", str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1
 
 
 def test_seventeen_digit_roundtrip():
