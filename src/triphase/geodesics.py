@@ -28,7 +28,9 @@ from .errors import (
 )
 
 COINCIDENT_TOL = 1e-12
+NEAR_TOL = 1e-2  # sin^2 below which 1 - c*c, off by ~1e-15/sin^2, is too coarse for a norm
 TANGENT_TOL = 1e-12  # largest |(psi0, tangent)| a GeodesicCurve takes as orthogonal
+RANK_RTOL = 1e-8  # singular values below this share of the largest count as zero
 
 
 @dataclass(frozen=True)
@@ -69,31 +71,33 @@ def in_phase_lift(rho1, rho2):
     return psi1, psi2 * np.exp(-1j * np.angle(ip))
 
 
-def _unit_vector_orthogonal_to(psi):
-    # deterministic completion: start from the basis vector least aligned with psi
-    k = int(np.argmin(np.abs(psi)))
-    v = np.zeros(3, dtype=complex)
-    v[k] = 1.0
-    v = v - psi * np.vdot(psi, v)
-    return v / np.linalg.norm(v)
-
-
 def _geodesics_from_in_phase(starts, ends):
-    # a curve per row of two (k, 3) in-phase stacks; coincident rows get length arccos(1) = 0
+    # a curve per row of two (k, 3) in-phase stacks; coincident rows get length 0
     c = np.vecdot(starts, ends).real
     sin2 = 1.0 - c * c
-    coincident = sin2 < COINCIDENT_TOL
-    tangents = (ends - c[:, None] * starts) / np.sqrt(np.maximum(sin2, COINCIDENT_TOL))[:, None]
-    for row in coincident.nonzero()[0]:
-        tangents[row] = _unit_vector_orthogonal_to(starts[row])
-    lengths = np.arccos(np.where(coincident, 1.0, c)).tolist()
-    return [GeodesicCurve(*side) for side in zip(starts, tangents, lengths)]
+    near = sin2 < NEAR_TOL
+    residuals = ends - c[:, None] * starts
+    tangents = residuals / np.sqrt(np.where(near, 1.0, sin2))[:, None]
+    lengths = np.arccos(np.where(near, 1.0, c))
+    if near.any():
+        # project the residual off the start again and take its own norm; a coincident
+        # row completes from the basis vector least aligned with its start instead
+        base, coincident = starts[near], sin2[near] < COINCIDENT_TOL
+        picks = np.eye(3, dtype=complex)[np.abs(base).argmin(axis=1)]
+        r = np.where(coincident[:, None], picks, residuals[near])
+        r -= base * np.vecdot(base, r)[:, None]
+        norms = np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
+        tangents[near] = r / norms[:, None]
+        lengths[near] = np.where(coincident, 0.0, np.arctan2(norms, c[near]))
+    return [GeodesicCurve(*side) for side in zip(starts, tangents, lengths.tolist())]
 
 
 def geodesic_between(rho1, rho2):
     """Shortest curve between two nonorthogonal pure densities.
 
-    Coincident endpoints give a degenerate curve of length 0.
+    Endpoints count as coincident when sin^2 of their opening angle is
+    below COINCIDENT_TOL (1e-12), an angle below about 1e-6; they give a
+    degenerate curve of length 0.  Every pair farther apart gets a curve.
     """
     psi1, psi2 = in_phase_lift(rho1, rho2)
     return _geodesics_from_in_phase(psi1[None], psi2[None])[0]
@@ -134,17 +138,9 @@ def curve_length(s, psis):
     return float(np.trapezoid(integrand, s))
 
 
-def _rank(matrix):
-    # singular values below 1e-8 of the largest count as zero
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > 1e-8 * sv[0]))
-
-
 def span_rank(points):
     """Dimension of the linear span of eight-vector samples."""
-    return _rank(np.asarray(points, dtype=float))
+    return int(np.linalg.matrix_rank(np.asarray(points, dtype=float), rtol=RANK_RTOL))
 
 
 def planarity_test(points):
@@ -156,7 +152,7 @@ def planarity_test(points):
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 4:
         raise TooFewSamples("need at least four samples for a meaningful rank test")
-    affine_rank = _rank(pts[1:] - pts[0])
+    affine_rank = int(np.linalg.matrix_rank(pts[1:] - pts[0], rtol=RANK_RTOL))
     return affine_rank <= 2, affine_rank
 
 

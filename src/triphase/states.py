@@ -344,4 +344,6 @@ def state_from_json(obj):
     re, im = obj["re"], obj["im"]
     if len(re) != 3 or len(im) != 3:
         raise ValueError("'re' and 'im' must each hold three numbers")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in [*re, *im]):
+        raise ValueError("state entries must be JSON numbers")
     return np.array([float(a) + 1j * float(b) for a, b in zip(re, im)])

@@ -138,6 +138,15 @@ def test_phase_triangle_chart_edge():
     assert "chart breaks down" in proc.stderr
 
 
+def test_phase_triangle_near_coincident_vertices():
+    # psi2 is 1e-3 from psi1, where 1 - c*c has too few digits for a tangent's norm
+    proc = run_in_process(
+        "phase-triangle", "--xi", "1e-3", "--eta", "1", "--zeta", "0.5", "--chi2", "1"
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout.strip().split("\n")[-1])["max_discrepancy"] < 1e-12
+
+
 def test_phase_bargmann(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)
@@ -188,6 +197,17 @@ def test_geodesic_identical_states(tmp_path):
     assert json.loads(lines[-1].lstrip("# "))["degenerate"] is True
 
 
+def test_geodesic_near_coincident_states(tmp_path):
+    s1, s2 = tmp_path / "a.json", tmp_path / "b.json"
+    write_state(s1, np.array([0.0, 0.0, 1.0], dtype=complex))
+    write_state(s2, np.array([0.0, math.sin(1e-3), math.cos(1e-3)], dtype=complex))
+    proc = run_in_process("geodesic", str(s1), str(s2), "--samples", "5")
+    assert proc.returncode == 0
+    summary = json.loads(proc.stdout.strip().split("\n")[-1].lstrip("# "))
+    assert summary["degenerate"] is False
+    assert abs(summary["length"] - 1e-3) < 1e-15
+
+
 def test_geodesic_errors(tmp_path):
     s1, s2, bad = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "bad.json"
     write_state(s1, np.array([1.0, 0.0, 0.0], dtype=complex))
@@ -200,6 +220,10 @@ def test_geodesic_errors(tmp_path):
     unnorm = tmp_path / "unnorm.json"
     unnorm.write_text(json.dumps({"re": [1.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]}))
     assert run_in_process("geodesic", str(s1), str(unnorm)).returncode == 4
+    # entries that are not JSON numbers, or too large for a double
+    for entry in ('"1"', "true", "1" + "0" * 400):
+        unnorm.write_text('{"re": [%s, 0, 0], "im": [0, 0, 0]}' % entry)
+        assert run_in_process("geodesic", str(s1), str(unnorm)).returncode == 4
 
 
 def test_nan_component_exits_4(tmp_path):

@@ -119,6 +119,27 @@ def test_energy_expectation_conserved_zero():
         assert np.abs(trajectory.phi_dyn).max() < 1e-10
 
 
+def test_dynamical_phase_under_constant_hamiltonians():
+    # <H> is conserved under a constant H, so phi_dyn(T) = -<H> T
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        coeffs = geodesics.HamiltonianCoeffs(rng.standard_normal(), rng.standard_normal(8))
+        psi0 = states.random_state(rng)
+        trajectory = evolution.integrate_state(psi0, evolution.Schedule(((coeffs, 1.0),)), 1e-3)
+        energy = np.vdot(psi0, coeffs.matrix() @ psi0).real
+        assert abs(trajectory.phi_dyn[-1] + energy) < 1e-10
+
+
+def test_recorded_rows_are_renormalised():
+    # before renormalisation these rows drift from unit norm by up to about 4e-7
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        coeffs = geodesics.HamiltonianCoeffs(rng.standard_normal(), rng.standard_normal(8))
+        schedule = evolution.Schedule(((coeffs, 2.0),))
+        trajectory = evolution.integrate_state(states.random_state(rng), schedule, 0.02)
+        assert np.abs(np.linalg.norm(trajectory.psi, axis=1) - 1.0).max() <= 1e-15
+
+
 def test_rk4_convergence_ratio():
     target, _ = canonical_schedule(1.0)
     coeffs = geodesics.constant_hamiltonian(

@@ -89,6 +89,26 @@ def test_coincident_endpoints_degenerate():
     assert abs(abs(np.vdot(lift, psi)) ** 2 - 1.0) < 1e-12
 
 
+def test_sides_near_coincidence_keep_their_tolerances():
+    # opening angles from just above the coincidence cutoff, 1e-6, to near pi/2,
+    # every lift in a random gauge; the far vertex is at angle 0.7 from the first
+    rng = np.random.default_rng(31)
+    for angle in np.geomspace(1.5e-6, 1.5, 300):
+        start, *others = states.random_states(rng, 3)
+        psis = [start]
+        for a, u in zip((angle, 0.7), others):
+            u = u - start * np.vdot(start, u)
+            psis.append(np.cos(a) * start + np.sin(a) * u / np.linalg.norm(u))
+        rhos = [states.density_of(p * np.exp(2j * np.pi * rng.random())) for p in psis]
+        for curves in ([geodesics.geodesic_between(*rhos[:2])], geodesics.polygon_sides(rhos)):
+            assert abs(curves[0].length - angle) < 1e-13
+            for curve, rho in zip(curves, rhos[1:] + rhos[:1]):
+                assert abs(np.vdot(curve.tangent, curve.tangent).real - 1.0) <= states.NORM_TOL
+                assert abs(np.vdot(curve.psi0, curve.tangent)) <= geodesics.TANGENT_TOL
+                end = curve.endpoint
+                assert np.abs(np.outer(end, end.conj()) - rho).max() <= 1e-12
+
+
 def test_lift_stays_unit_and_horizontal():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -244,17 +264,27 @@ def test_hamiltonian_family_frozen():
 
 
 def _sides_reference(rhos):
-    # the per-side loop, one vdot, arccos and tangent at a time, written out
+    # the per-side loop, one vdot, norm and tangent at a time, written out
     lifts = list(states.lift_of_density(rhos))
     sides, current = [], lifts[0]
     for nxt in lifts[1:] + [lifts[0]]:
         ahead = nxt * np.exp(-1j * np.angle(np.vdot(current, nxt)))
         c = np.vdot(current, ahead).real
-        if 1.0 - c * c < geodesics.COINCIDENT_TOL:
-            sides.append((current, geodesics._unit_vector_orthogonal_to(current), 0.0))
+        sin2 = 1.0 - c * c
+        if sin2 >= geodesics.NEAR_TOL:
+            sides.append((current, (ahead - c * current) / np.sqrt(sin2), float(np.arccos(c))))
         else:
-            tangent = (ahead - c * current) / np.sqrt(1.0 - c * c)
-            sides.append((current, tangent, float(np.arccos(np.clip(c, -1.0, 1.0)))))
+            # a coincident side completes from the basis vector least aligned with its start
+            coincident = sin2 < geodesics.COINCIDENT_TOL
+            if coincident:
+                residual = np.zeros(3, dtype=complex)
+                residual[np.argmin(np.abs(current))] = 1.0
+            else:
+                residual = ahead - c * current
+            residual = residual - current * np.vdot(current, residual)
+            norm = np.linalg.norm(residual)
+            length = 0.0 if coincident else float(np.arctan2(norm, c))
+            sides.append((current, residual / norm, length))
         current = ahead
     return sides
 

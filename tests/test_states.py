@@ -303,6 +303,10 @@ def test_json_rejects_malformed():
         states.state_from_json({"re": [1, 0, 0]})
     with pytest.raises(ValueError):
         states.state_from_json({"re": [1, 0], "im": [0, 0]})
+    # only JSON numbers: no strings, no booleans
+    for entry in ("1", True, None, [1]):
+        with pytest.raises(ValueError, match="JSON numbers"):
+            states.state_from_json({"re": [entry, 0, 0], "im": [0, 0, 0]})
 
 
 def _tie_states():
