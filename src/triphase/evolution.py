@@ -23,8 +23,8 @@ steps.  A parameter-dependent segment runs in blocks of steps: one call
 of its callable gives every stage Hamiltonian of a block, one batched RK4
 step of the identity gives each step's own matrix P_k, and a prefix scan
 over a tree of the steps gives the states P_k ... P_1 x, again with no
-loop over steps.  A block's operator stack and RK4 temporaries live in a
-reused workspace of at most 2.6 MB, which no returned array shares.
+loop over steps.  A block's operator stack and RK4 temporaries share one
+buffer of at most 2.6 MB, allocated for that block.
 Every step is linear, so P (x/|x|) points the same way as P x, and the
 state picture renormalizes the states of a segment or block, and takes
 their dynamical-phase trapezoids, in one pass after it.
@@ -170,11 +170,7 @@ def _chain(increments, x):
 
 _BLOCK_STEPS = 1024
 """Steps of a callable segment evaluated and chained together, bounding memory;
-it also sizes the largest workspace, 5 _BLOCK_STEPS + 1 8x8 matrices, about 2.6 MB."""
-
-_WORKSPACES = []
-"""Flat buffers no callable block is using: a block pops one, or allocates one
-when none is large enough, and appends it back when done."""
+it also sizes the largest block buffer, 5 _BLOCK_STEPS + 1 8x8 matrices, about 2.6 MB."""
 
 
 def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
@@ -196,7 +192,7 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
     the preallocated result; beside it the walk holds only the rows of one
     constant segment or the arrays of one callable block.  A block's 5k + 1
     operators for k steps, its stack by operator(coeffs, out=) and then the
-    RK4 temporaries, sit in a buffer of _WORKSPACES, 2.6 MB at most.
+    RK4 temporaries, sit in one buffer of its own, 2.6 MB at most.
     """
     s = np.zeros(1 + sum(counts))
     xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
@@ -226,22 +222,15 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                 if np.shape(coeffs.h) != shape:
                     message = "a schedule callable gave h of shape {}, expected {}"
                     raise ValueError(message.format(np.shape(coeffs.h), shape))
-                # 5k + 1 slots of d x d doubles from the pool, taken only after the
-                # callable ran, so a callable that integrates cannot reach them
-                k, size = len(edges) - 1, x.size**2
-                need = (5 * k + 1) * size
-                work = _WORKSPACES.pop() if _WORKSPACES else np.empty(0)
-                if len(work) < need:
-                    work = np.empty(need)
-                try:
-                    slots = work[:need].reshape(-1, size)
-                    ops = operator(coeffs, out=slots[: 2 * k + 1])
-                    starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
-                    temps = slots[2 * k + 1 :].reshape(3, *starts.shape)
-                    increments = _rk4_increment(h, starts, mids, ends, temps)
-                    x = record(x, _chain(increments, x), h, ops[0], ends)
-                finally:
-                    _WORKSPACES.append(work)
+                # 5k + 1 slots of d x d doubles, one allocation: separate arrays ran perfbench
+                # transport 13% slower (2-vCPU x86), and reuse across blocks gained nothing
+                k = len(edges) - 1
+                slots = np.empty((5 * k + 1, x.size**2))
+                ops = operator(coeffs, out=slots[: 2 * k + 1])
+                starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
+                temps = slots[2 * k + 1 :].reshape(3, *starts.shape)
+                increments = _rk4_increment(h, starts, mids, ends, temps)
+                x = record(x, _chain(increments, x), h, ops[0], ends)
         else:
             start = operator(hamiltonian)
             increment = _rk4_increment(h, start, start, start)
@@ -270,21 +259,17 @@ class Trajectory:
     norm_drift: float | None = None
 
 
-# where each 6x6 generator entry sits in concat(parts, -parts), parts the (Re, Im)
-# doubles of H's entries: block (i, j) is [[Im, Re], [-Re, Im]] of entry 3 i + j
-_GENERATOR_INDEX = (
-    2 * np.arange(9).reshape(3, 1, 3, 1) + np.array([[1, 0], [18, 1]])[:, None, :]
-).ravel()
-
-
 def _state_generator(coeffs, out=None):
-    """Real 6x6 form of -iH acting on psi.view(float), or a stack of k of them,
-    written into out of shape (k, 36) when given."""
+    """Real 6x6 form of -iH on psi.view(float), filled by its 2x2 blocks, or a
+    stack of k of them; out of shape (k, 36), when given, takes the result."""
     matrix = coeffs.matrix()
-    parts = matrix.view(float).reshape(matrix.shape[:-2] + (18,))
-    signed = np.concatenate((parts, -parts), axis=-1)
-    generator = np.take(signed, _GENERATOR_INDEX, axis=-1, mode="wrap", out=out)
-    return generator.reshape(matrix.shape[:-2] + (6, 6))
+    stack = matrix.shape[:-2]
+    generator = np.empty(stack + (36,)) if out is None else out
+    blocks = generator.reshape(stack + (3, 2, 3, 2))
+    blocks[..., :, 0, :, 0] = blocks[..., :, 1, :, 1] = matrix.imag
+    blocks[..., :, 0, :, 1] = matrix.real
+    np.negative(matrix.real, out=blocks[..., :, 1, :, 0])
+    return generator.reshape(stack + (6, 6))
 
 
 def _energies(x, generated):

@@ -126,7 +126,8 @@ def two_term_sum(h, terms, out=None):
     nonzero sum, a sum of two products rounds the same in either order, and
     the final + 0.0 turns a -0 into the +0 an einsum accumulator gives.  The
     few second terms go in column by column, as a fancy-indexed write of
-    them costs more.
+    them costs more.  The einsum itself ran perfbench transport 4% slower
+    on a 2-vCPU x86 host.
     """
     index, coeff, seconds = terms
     h = np.asarray(h, dtype=float)

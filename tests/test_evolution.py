@@ -464,7 +464,7 @@ PINNED_CALLABLE = {
 
 
 def test_callable_path_bytes_pinned():
-    for _ in range(2):  # the second run reuses the first one's workspace
+    for _ in range(2):  # a repeat run gives the same doubles
         arrays = result_arrays(*both_pictures(split_schedule()))
         digests = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
         assert digests == PINNED_CALLABLE
@@ -488,37 +488,15 @@ def test_nested_run_matches_unnested(monkeypatch, block):
     assert all(same_bits(run.n, alone.n) and same_bits(run.s, alone.s) for run in inner)
 
 
-def test_results_share_no_memory_with_the_workspace():
-    arrays = result_arrays(*both_pictures(split_schedule()))
-    assert evolution._WORKSPACES
-    for buffer in evolution._WORKSPACES:
-        assert not any(np.shares_memory(a, buffer) for a in arrays.values())
-
-
-def test_result_survives_later_calls(monkeypatch):
+def test_result_survives_later_calls():
     def family_schedule(duration):
         return evolution.Schedule(((split_family, duration),))
 
-    monkeypatch.setattr(evolution, "_WORKSPACES", [])
     first = result_arrays(*both_pictures(family_schedule(0.3)))
     kept = {name: a.copy() for name, a in first.items()}
-    (small,) = evolution._WORKSPACES
     both_pictures(family_schedule(0.9))
-    (grown,) = evolution._WORKSPACES
-    assert len(grown) > len(small)
     both_pictures(family_schedule(0.1))
-    (last,) = evolution._WORKSPACES
-    assert last is grown
     assert all(same_bits(first[name], kept[name]) for name in kept)
-
-
-def test_repeat_call_reuses_the_workspace(monkeypatch):
-    monkeypatch.setattr(evolution, "_WORKSPACES", [])
-    both_pictures(split_schedule())
-    buffers = [id(buffer) for buffer in evolution._WORKSPACES]
-    assert len(buffers) == 1
-    both_pictures(split_schedule())
-    assert [id(buffer) for buffer in evolution._WORKSPACES] == buffers
 
 
 # h0 and h with signed zeros, where a sum of zero terms must come out +0

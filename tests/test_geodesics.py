@@ -153,6 +153,26 @@ def test_curve_length_matches():
         assert abs(measured - curve.length) < 1e-6
 
 
+def test_sampled_functionals_invariant_under_rephasing():
+    # psi -> e^{i gamma(s)} psi keeps the length and the geometric phase, and adds
+    # gamma(L) - gamma(0) to the dynamical phase; an in-phase lift would hide a
+    # wrong sign on |(psi, dpsi)|^2, which vanishes there
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        pair = random_nonorthogonal_pair(rng)
+        curve = geodesics.geodesic_between(
+            states.density_of(pair[0]), states.density_of(pair[1])
+        )
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        grid = np.linspace(0.0, curve.length, 2001)
+        gamma = a * grid + b * np.sin(grid)
+        lifts = np.exp(1j * gamma)[:, None] * curve(grid)
+        assert abs(geodesics.curve_length(grid, lifts) - curve.length) < 1e-5
+        assert abs(phases.geometric_phase_of_curve(grid, lifts).value) < 1e-5
+        gained = gamma[-1] - gamma[0]
+        assert abs(phases.dynamical_phase(grid, lifts).value - gained) < 1e-5
+
+
 def test_planarity_affine_two_raw_three():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -234,6 +236,25 @@ def test_octant_frozen_component():
         )
         n = states.n_from_octant_coords(c)
         assert abs(n[7] - 0.5 * (1.0 - 3.0 * np.cos(theta) ** 2)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "chart, defined",
+    [
+        ((0.7, 0.4, 1.1, 2.3), (True, True, True)),
+        ((0.0, 0.4, 1.1, 2.3), (False, False, False)),
+        ((0.7, 0.0, 1.1, 2.3), (True, True, False)),
+        ((0.7, np.pi / 2, 1.1, 2.3), (True, False, True)),
+    ],
+)
+def test_octant_flags_are_python_bools(chart, defined):
+    # generic, then theta = 0, phi = 0 and phi = pi/2, each flagging its undefined angles
+    psi = states.from_octant_coords(states.OctantCoordinates(*chart))
+    coords = states.to_octant_coords(psi)
+    flags = (coords.phi_defined, coords.chi1_defined, coords.chi2_defined)
+    assert flags == defined and all(type(flag) is bool for flag in flags)
+    fields = dataclasses.asdict(coords)
+    assert states.OctantCoordinates(**json.loads(json.dumps(fields))) == coords
 
 
 def test_octant_singular_and_ranges():
