@@ -11,14 +11,16 @@ zero, inf, nan, magnitudes outside 1e-99..1e100 and near-ties to Python's
 
 Exit codes: 0 success, 1 failed invariant sweep, 2 bad parameter or
 range violation, 3 orthogonal states where a phase or geodesic needs an
-overlap, 4 unreadable or malformed input file, or an output that cannot be
-opened or written.
+overlap, 4 unreadable or malformed input file (not UTF-8, nested too
+deeply to parse, or with an integer over Python's digit limit), or an
+output that cannot be opened or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -33,6 +35,10 @@ from .errors import NotNormalized, OrthogonalityError, OutOfRange, TriphaseError
 
 class _FileError(Exception):
     """Input that cannot be read or parsed, or output that cannot be written: exit 4."""
+
+
+# Exit code of each error main reports, most specific first.
+_EXIT_CODES = ((_FileError, 4), (OrthogonalityError, 3), (TriphaseError, 2))
 
 
 # Work budgets: the most points one geodesic run may sample, and the most
@@ -103,11 +109,12 @@ def _emit(text, out, columns=(), tail=""):
 
 def _load_json(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and the int digit limit
+    except (ValueError, RecursionError) as exc:
         raise _FileError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -143,9 +150,8 @@ def cmd_phase_triangle(args):
         phases.pancharatnam_phase_from_n(*(states.n_vector_of(p) for p in lifts)),
         phases.triangle_line_integral_phase(*rhos),
     ]
-    echo = {"xi": args.xi, "eta": args.eta, "zeta": args.zeta, "chi2": args.chi2}
     lines = [
-        _render({"method": r.method, "phase": r.value, "params": echo})
+        _render({"method": r.method, "phase": r.value, "params": dataclasses.asdict(params)})
         for r in results
     ]
     discrepancy = max(
@@ -190,8 +196,7 @@ def cmd_geodesic(args):
         )
     else:
         summary.update(planar=None, affine_rank=None, span_rank=None)
-    header = "s," + ",".join(f"n{k}" for k in range(1, 9))
-    _emit(header + "\n", args.out, (grid, ns), "# " + _render(summary) + "\n")
+    _emit("s,n1,n2,n3,n4,n5,n6,n7,n8\n", args.out, (grid, ns), "# " + _render(summary) + "\n")
     return 0
 
 
@@ -199,11 +204,7 @@ def cmd_evolve(args):
     psis = _load_state_list(args.file, expect=3)
     rhos = [states.density_of(psi) for psi in psis]
     trajectory, geometric, closure = evolution.evolve_triangle(*rhos, step=args.step)
-    header = ["s"]
-    for k in (1, 2, 3):
-        header += [f"re{k}", f"im{k}"]
-    header += [f"n{k}" for k in range(1, 9)]
-    header += ["phi_p", "phi_dyn"]
+    header = "s,re1,im1,re2,im2,re3,im3,n1,n2,n3,n4,n5,n6,n7,n8,phi_p,phi_dyn\n"
     # re1, im1, re2, im2, re3, im3: a complex row viewed as its doubles
     components = np.ascontiguousarray(trajectory.psi).view(float)
     columns = (trajectory.s, components, trajectory.n, trajectory.phi_p, trajectory.phi_dyn)
@@ -214,7 +215,7 @@ def cmd_evolve(args):
         "closure_defect": closure,
         "step": args.step,
     }
-    _emit(",".join(header) + "\n", args.out, columns, "# " + _render(summary) + "\n")
+    _emit(header, args.out, columns, "# " + _render(summary) + "\n")
     return 0
 
 
@@ -274,33 +275,29 @@ def build_parser():
         description="Geometry and geometric phases of three-level pure states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out")
+    verb = functools.partial(sub.add_parser, parents=[shared])
 
-    p = sub.add_parser(
-        "phase-triangle",
-        help="triangle phase from every oracle, angles in radians",
-    )
+    p = verb("phase-triangle", help="triangle phase from every oracle, angles in radians")
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--chi2", type=float, required=True)
-    p.add_argument("--out")
 
-    p = sub.add_parser("phase-bargmann", help="polygon phase from a JSON state list")
+    p = verb("phase-bargmann", help="polygon phase from a JSON state list")
     p.add_argument("file")
-    p.add_argument("--out")
 
-    p = sub.add_parser("geodesic", help="sample the geodesic between two states")
+    p = verb("geodesic", help="sample the geodesic between two states")
     p.add_argument("state1")
     p.add_argument("state2")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--out")
 
-    p = sub.add_parser("evolve", help="integrate a triangle loop and dump the trajectory")
+    p = verb("evolve", help="integrate a triangle loop and dump the trajectory")
     p.add_argument("file")
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--out")
 
-    p = sub.add_parser("check", help="run the seeded invariant sweeps")
+    p = verb("check", help="run the seeded invariant sweeps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument(
@@ -310,7 +307,6 @@ def build_parser():
         metavar="NAME=VALUE",
         help="override one check tolerance (repeatable)",
     )
-    p.add_argument("--out")
 
     return parser
 
@@ -319,15 +315,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except _FileError as exc:
+    except (_FileError, TriphaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OrthogonalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TriphaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -178,42 +178,34 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
 
     counts gives each segment's number of steps and operator maps a
     segment's HamiltonianCoeffs, or a stack of them, to the real matrix A.
-    A constant segment evaluates A once, takes the step matrix P as one
-    RK4 step of the identity, and produces its rows P x, ..., P^n x by
-    repeated squaring.  A callable segment runs in blocks of at most
-    _BLOCK_STEPS steps: each block calls the callable once, on its start
-    and each step's middle and end, takes every step's P_k - I from one
-    batched RK4 step of the identity, and chains the rows P_k ... P_1 x by
-    a prefix scan.  Once per constant segment and per block,
-    settle(x, rows, h, start, ends) maps the stepped rows to the ones
-    recorded and carried on, given the first x, its A and the stack of each
-    step's end A; as every step is linear, it may rescale rows freely.
-    Returns the sampled s and the stacked x.  Settled rows go straight into
-    the preallocated result; beside it the walk holds only the rows of one
-    constant segment or the arrays of one callable block.  A block's 5k + 1
-    operators for k steps, its stack by operator(coeffs, out=) and then the
-    RK4 temporaries, sit in one buffer of its own, 2.6 MB at most.
+    The walk runs in pieces: a constant segment is one piece, and a
+    callable segment one piece per block of at most _BLOCK_STEPS steps.
+    A constant piece evaluates A once, takes the step matrix P as one RK4
+    step of the identity, and produces its rows P x, ..., P^n x by repeated
+    squaring.  A block calls the callable once, on its start and each
+    step's middle and end, takes every step's P_k - I from one batched RK4
+    step of the identity, and chains the rows P_k ... P_1 x by a prefix
+    scan.  At the walk's one settle point, settle(x, rows, h, start, ends)
+    maps a piece's rows to the ones recorded and carried on, given its
+    first x, that x's A and the stack of each step's end A; as every step
+    is linear, it may rescale rows freely.  Returns the sampled s and the
+    stacked x.  Settled rows go straight into the preallocated result;
+    beside it the walk holds only one piece.  A block's 5k + 1 operators
+    for k steps, its stack by operator(coeffs, out=) and then the RK4
+    temporaries, sit in one buffer of its own, 2.6 MB at most.
     """
     s = np.zeros(1 + sum(counts))
     xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
     xs[0] = x
     done, s_global = 0, 0.0
-
-    def record(x, rows, h, start, ends):
-        # settle the rows into place and return the last one, carried on
-        nonlocal done
-        xs[done + 1 : done + 1 + len(rows)] = settle(x, rows, h, start, ends)
-        done += len(rows)
-        return xs[done]
-
     for (hamiltonian, duration), n_steps in zip(schedule.segments, counts):
         h = duration / n_steps
         # cumsum adds in the order of a running local += h
         local = np.cumsum(np.full(n_steps, h))
         s[done + 1 : done + 1 + n_steps] = s_global + local
-        if callable(hamiltonian):
-            bounds = np.concatenate(([0.0], local))
-            for first in range(0, n_steps, _BLOCK_STEPS):
+        bounds = np.concatenate(([0.0], local))
+        for first in range(0, n_steps, _BLOCK_STEPS if callable(hamiltonian) else n_steps):
+            if callable(hamiltonian):
                 edges = bounds[first : first + _BLOCK_STEPS + 1]
                 stages = np.empty(2 * len(edges) - 1)
                 stages[0::2] = edges
@@ -230,12 +222,15 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                 starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
                 temps = slots[2 * k + 1 :].reshape(3, *starts.shape)
                 increments = _rk4_increment(h, starts, mids, ends, temps)
-                x = record(x, _chain(increments, x), h, ops[0], ends)
-        else:
-            start = operator(hamiltonian)
-            increment = _rk4_increment(h, start, start, start)
-            ends = np.broadcast_to(start, (n_steps,) + start.shape)
-            x = record(x, _powers(increment, x, n_steps), h, start, ends)
+                rows, start = _chain(increments, x), ops[0]
+            else:
+                start = operator(hamiltonian)
+                increment = _rk4_increment(h, start, start, start)
+                ends = np.broadcast_to(start, (n_steps,) + start.shape)
+                rows = _powers(increment, x, n_steps)
+            xs[done + 1 : done + 1 + len(rows)] = settle(x, rows, h, start, ends)
+            done += len(rows)
+            x = xs[done]
         s_global += duration
     return s, xs
 
@@ -282,17 +277,16 @@ def integrate_state(psi0, schedule, step=1e-3):
     """RK4-integrate i dpsi/ds = H psi through a schedule, recording phases."""
     counts = _step_counts(schedule, step)
     psi = states.assert_normalized(psi0).astype(complex)
-    phi_dyn, drift = [np.zeros(1)], [0.0]
+    trapezoids, drift = [np.zeros(1)], [0.0]
 
     def settle(x, rows, h, generator, ends):
-        # renormalize, then add the trapezoids of the dynamical phase -int <H> ds
+        # renormalize, then keep the trapezoids of the dynamical phase -int <H> ds
         norms = np.linalg.norm(rows.view(complex), axis=1)
         drift.append(np.abs(norms - 1.0).max())
         rows /= norms[:, None]
         energies = _energies(rows, np.einsum("kij,kj->ki", ends, rows))
         before = np.concatenate(([_energies(x, generator @ x)], energies[:-1]))
-        steps = np.concatenate((phi_dyn[-1][-1:], -0.5 * h * (before + energies)))
-        phi_dyn.append(np.cumsum(steps)[1:])
+        trapezoids.append(-0.5 * h * (before + energies))
         return rows
 
     s, xs = _walk(psi.view(float), schedule, counts, _state_generator, settle)
@@ -302,7 +296,8 @@ def integrate_state(psi0, schedule, step=1e-3):
         n=states.n_vectors_of(psis),
         psi=psis,
         phi_p=np.angle(psis @ psis[0].conj()),
-        phi_dyn=np.concatenate(phi_dyn),
+        # cumsum adds in order: the doubles of a running total phi_dyn += trapezoid
+        phi_dyn=np.cumsum(np.concatenate(trapezoids)),
         norm_drift=float(max(drift)),
     )
 

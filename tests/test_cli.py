@@ -241,6 +241,26 @@ def test_nan_component_exits_4(tmp_path):
     assert run_in_process("geodesic", str(s1), str(bad)).returncode == 4
 
 
+@pytest.mark.parametrize("verb", ["phase-bargmann", "evolve", "geodesic"])
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100000 + b"]" * 100000, b"\xff\xfe[1]", b"[" + b"1" * 5000 + b"]"],
+    ids=["too-deep", "not-utf-8", "over-the-int-digit-limit"],
+)
+def test_undecodable_json_exits_4(tmp_path, verb, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    inputs = [bad]
+    if verb == "geodesic":
+        inputs.insert(0, tmp_path / "a.json")
+        write_state(inputs[0], states.random_state(0))
+    code, stdout, stderr = run_in_process(verb, *map(str, inputs))
+    assert code == 4
+    assert stdout == ""
+    assert stderr.startswith(f"error: malformed JSON in {bad}: ")
+    assert stderr.count("\n") == 1
+
+
 def test_evolve_canonical(tmp_path):
     path = tmp_path / "tri.json"
     canonical_triangle_file(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triphase import evolution, geodesics, phases, states, su3
+from triphase import checks, evolution, geodesics, phases, states, su3
 from triphase.errors import InvalidStep, OutOfRange
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -201,6 +201,48 @@ def test_time_dependent_family_transports_reference():
     ).astype(complex)
     overlaps = np.abs(np.einsum("ki,ki->k", expected.conj(), trajectory.psi)) ** 2
     assert np.abs(overlaps - 1.0).max() < 1e-10
+
+
+def test_family_transports_reference_to_first_order():
+    # the rows themselves, not |overlap|^2, whose error is second order in theirs
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        a, b, c, d = rng.standard_normal(4)
+
+        def hamiltonian(s, a=a, b=b, c=c, d=d):
+            return geodesics.geodesic_hamiltonian_family(s, a, b, c, d)
+
+        schedule = evolution.Schedule(((hamiltonian, 1.2),))
+        trajectory = evolution.integrate_state(E3, schedule, 2e-3)
+        s = trajectory.s
+        expected = np.stack([np.zeros_like(s), np.sin(s), np.cos(s)], axis=1)
+        assert np.abs(trajectory.psi - expected).max() <= 1e-10
+        adjoint = evolution.integrate_nvector(states.n_vector_of(E3), schedule, 2e-3)
+        assert np.abs(adjoint.n - states.n_vectors_of(expected)).max() <= 1e-9
+
+
+def test_energy_shift_moves_only_the_dynamical_phase(monkeypatch):
+    # H + h0 I multiplies the state by exp(-i h0 s): the geometric phase stays
+    rng = np.random.default_rng(78)
+    unshifted = evolution.triangle_schedule
+    for k in range(20):
+        psis = checks._nonorthogonal_states(np.random.default_rng([77, k]))
+        rhos = [states.density_of(p) for p in psis]
+        _, clean, _ = evolution.evolve_triangle(*rhos, step=5e-3)
+        h0 = rng.uniform(-2.0, 2.0)
+
+        def shifted(*rhos, h0=h0):
+            segments = unshifted(*rhos).segments
+            return evolution.Schedule(
+                tuple((geodesics.HamiltonianCoeffs(c.h0 + h0, c.h), t) for c, t in segments)
+            )
+
+        monkeypatch.setattr(evolution, "triangle_schedule", shifted)
+        trajectory, moved, _ = evolution.evolve_triangle(*rhos, step=5e-3)
+        monkeypatch.undo()
+        assert phases.phase_distance(moved.value, clean.value) <= 1e-7
+        duration = unshifted(*rhos).total_duration
+        assert abs(trajectory.phi_dyn[-1] + h0 * duration) <= 1e-7
 
 
 def test_triangle_schedule_durations():
