@@ -8,7 +8,7 @@ byte and independent of execution order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from . import evolution, geodesics, phases, states, su3
 from .errors import ChartSingular, OutOfRange
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's measured value against its tolerance, from BOUNDS or a
     --tol override; bound_kind says how the tolerance judges the value:
     "upper", "lower" (at or above it) or "interval"."""

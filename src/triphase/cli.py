@@ -29,7 +29,12 @@ from itertools import combinations
 
 import numpy as np
 
-from . import checks, evolution, geodesics, phases, states
+# checks and csvtext are imported by the verbs that use them: 'check' alone
+# sweeps, and only 'geodesic' and 'evolve' print a CSV table.  Loading both
+# with cli cost every run about 1.4 ms of CPU with bytecode cached, and 14 ms
+# when their sources are compiled (medians of fresh processes, numpy already
+# loaded, on a shared 2-vCPU x86 host).
+from . import evolution, geodesics, phases, states
 from .errors import NotNormalized, OrthogonalityError, OutOfRange, TriphaseError
 
 
@@ -89,8 +94,6 @@ def _emit(text, out, columns=(), tail=""):
         with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
             handle.write(text)
             if columns:
-                # imported here: compiling the writer added about 1.5 ms to every
-                # import of cli on a 2-vCPU x86 host, and most runs print no table
                 from . import csvtext
 
                 for first in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
@@ -220,6 +223,8 @@ def cmd_evolve(args):
 
 
 def _parse_overrides(pairs):
+    from . import checks
+
     overrides = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
@@ -242,6 +247,8 @@ def cmd_check(args):
         raise OutOfRange(f"seed = {args.seed}, need at least 0")
     if args.trials > MAX_CHECK_TRIALS:
         raise OutOfRange(f"trials = {args.trials}, over the budget of {MAX_CHECK_TRIALS}")
+    from . import checks
+
     overrides = _parse_overrides(args.tol)
     report = checks.run_all(seed=args.seed, trials=args.trials, overrides=overrides)
     lines = [

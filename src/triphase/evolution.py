@@ -34,6 +34,7 @@ A schedule may take at most MAX_STEPS steps in total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .errors import InvalidStep, OutOfRange
 from .phases import PhaseResult, principal_branch
 
 
+# A dataclass, not a NamedTuple, for the segment checks of __post_init__.
 @dataclass(frozen=True)
 class Schedule:
     """Piecewise evolution plan: tuple of (hamiltonian, duration) segments.
@@ -235,15 +237,14 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
     return s, xs
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Recorded samples of an integration run.
 
     State-picture runs fill every field; eight-vector runs leave psi,
     phi_p, phi_dyn and norm_drift as None.  phi_p[k] is the accumulated
     total phase arg(psi(0), psi(s_k)) and phi_dyn[k] the accumulated
     dynamical phase.  norm_drift is the largest |(|psi| - 1)| of a stepped
-    state before its renormalization.
+    state before its renormalization; it is not finite once such a state is not.
     """
 
     s: np.ndarray
@@ -298,7 +299,7 @@ def integrate_state(psi0, schedule, step=1e-3):
         phi_p=np.angle(psis @ psis[0].conj()),
         # cumsum adds in order: the doubles of a running total phi_dyn += trapezoid
         phi_dyn=np.cumsum(np.concatenate(trapezoids)),
-        norm_drift=float(max(drift)),
+        norm_drift=float(np.max(drift)),
     )
 
 

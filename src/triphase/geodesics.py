@@ -17,6 +17,7 @@ samples of n(s) are linearly independent (rank 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ TANGENT_TOL = 1e-12  # largest |(psi0, tangent)| a GeodesicCurve takes as orthog
 RANK_RTOL = 1e-8  # singular values below this share of the largest count as zero
 
 
+# A dataclass, not a NamedTuple, for the norm and orthogonality checks of __post_init__.
 @dataclass(frozen=True)
 class GeodesicCurve:
     """Great-circle lift psi(s) = psi0 cos(s) + tangent sin(s) on [0, length]."""
@@ -156,8 +158,7 @@ def planarity_test(points):
     return affine_rank <= 2, affine_rank
 
 
-@dataclass(frozen=True)
-class HamiltonianCoeffs:
+class HamiltonianCoeffs(NamedTuple):
     """Hamiltonian H = h0 I + h.l given by its identity and l coefficients.
 
     A stack of k Hamiltonians has h0 of shape (k,) and h of shape (k, 8);

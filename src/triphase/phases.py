@@ -56,8 +56,7 @@ _SPREAD = _GRADING ** -np.arange(_INNER + 1.0)
 _SPREAD = np.concatenate([-_SPREAD[::-1], _SPREAD])  # panel edges, in innermost reaches
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     """An angle in (-pi, pi] tagged with the route that produced it."""
 
     value: float
@@ -127,6 +126,7 @@ def bargmann_phase(psis):
     return PhaseResult(_closed_at_pi(float(-np.angle(product))), "bargmann")
 
 
+# A dataclass, not a NamedTuple, for the range checks of __post_init__ and for asdict.
 @dataclass(frozen=True)
 class TriangleParams:
     """Canonical triangle parameters xi, eta in (0, pi/2), zeta in [0, pi/2],

@@ -230,6 +230,7 @@ def nonorthogonal(amplitude, error):
     return amplitude
 
 
+# A dataclass, not a NamedTuple, so that dataclasses.asdict gives its fields by name.
 @dataclass(frozen=True)
 class OctantCoordinates:
     """Chart angles with validity flags for the singular directions."""

@@ -2,8 +2,8 @@
 
 Most runs call cli.main in this process.  A subprocess runs
 `python -m triphase` only where the process itself is under test: the
-cross-run determinism tests, one case for each exit code 0-4, and a
-closed stdout.
+cross-run determinism tests, one case for each exit code 0-4, a closed
+stdout, and the modules a fresh `import triphase.cli` loads.
 """
 
 import contextlib
@@ -604,6 +604,23 @@ def test_parser_built_once_and_handler_looked_up_per_call(monkeypatch):
     # the appended override does not leak into the shared default list
     assert cli.main(["check"]) == 0
     assert seen == [["algebra.tables=1"], []]
+
+
+def test_cli_import_leaves_checks_and_csvtext_for_their_verbs(tmp_path):
+    script = (
+        "import sys\n"
+        "from triphase import cli\n"
+        "assert 'triphase.checks' not in sys.modules\n"
+        "assert 'triphase.csvtext' not in sys.modules\n"
+        f"sys.exit(cli.main(['check', '--trials', '1', '--out', {str(tmp_path / 'c')!r}]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "c").read_text().split("\n")[-2])["all_passed"] is True
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -413,6 +413,23 @@ def test_norm_drift_grows_with_step():
     assert by_vector.norm_drift is None
 
 
+def test_norm_drift_of_a_run_gone_non_finite_is_nan():
+    # Python's max keeps the first 0.0 against a NaN; the drift must not read clean
+    h = np.linspace(-1.0, 1.0, 8) * 0.4
+    h[2] = np.nan
+    constant = geodesics.HamiltonianCoeffs(0.0, h)
+
+    def infinite(s):
+        family = geodesics.geodesic_hamiltonian_family(s, 0.8, -0.3, 0.5, 1.2)
+        return geodesics.HamiltonianCoeffs(family.h0, np.full_like(family.h, np.inf))
+
+    for hamiltonian in (constant, infinite):
+        schedule = evolution.Schedule(((hamiltonian, 0.1),))
+        with np.errstate(invalid="ignore", over="ignore"):
+            trajectory = evolution.integrate_state(E3, schedule, 1e-2)
+        assert np.isnan(trajectory.norm_drift)
+
+
 unit = st.floats(-1.0, 1.0)
 
 
