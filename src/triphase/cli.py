@@ -185,20 +185,16 @@ def cmd_geodesic(args):
     psi1 = _load_state(args.state1)
     psi2 = _load_state(args.state2)
     curve = geodesics.geodesic_between(states.density_of(psi1), states.density_of(psi2))
-    if curve.length == 0.0:
-        grid = np.array([0.0])
-        summary = {"length": 0.0, "degenerate": True}
-    else:
-        grid = np.linspace(0.0, curve.length, args.samples)
-        summary = {"length": curve.length, "degenerate": False}
+    degenerate = curve.length == 0.0  # coincident endpoints, sampled once at s = 0
+    grid = np.linspace(0.0, curve.length, 1 if degenerate else args.samples)
     ns = states.n_vectors_of(curve(grid))
+    summary = {"length": curve.length, "degenerate": degenerate}
+    summary.update(planar=None, affine_rank=None, span_rank=None)  # too few samples to rank
     if len(ns) >= 4:
         planar, affine_rank = geodesics.planarity_test(ns)
         summary.update(
             planar=planar, affine_rank=affine_rank, span_rank=geodesics.span_rank(ns)
         )
-    else:
-        summary.update(planar=None, affine_rank=None, span_rank=None)
     _emit("s,n1,n2,n3,n4,n5,n6,n7,n8\n", args.out, (grid, ns), "# " + _render(summary) + "\n")
     return 0
 
@@ -209,7 +205,7 @@ def cmd_evolve(args):
     trajectory, geometric, closure = evolution.evolve_triangle(*rhos, step=args.step)
     header = "s,re1,im1,re2,im2,re3,im3,n1,n2,n3,n4,n5,n6,n7,n8,phi_p,phi_dyn\n"
     # re1, im1, re2, im2, re3, im3: a complex row viewed as its doubles
-    components = np.ascontiguousarray(trajectory.psi).view(float)
+    components = trajectory.psi.view(float)
     columns = (trajectory.s, components, trajectory.n, trajectory.phi_p, trajectory.phi_dyn)
     summary = {
         "total_phase": phases.principal_branch(trajectory.phi_p[-1]),

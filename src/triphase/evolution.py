@@ -52,7 +52,9 @@ class Schedule:
     callable that maps a 1-D array of k parameters, measured from the
     segment start, to one HamiltonianCoeffs with h0 of shape (k,) and h of
     shape (k, 8), as geodesics.geodesic_hamiltonian_family does; an h of
-    another shape raises ValueError before the block's RK4 steps.
+    another shape raises ValueError before the block's RK4 steps.  A
+    constant segment that is not a HamiltonianCoeffs with a scalar h0 and
+    h of shape (8,) raises ValueError here.
     """
 
     segments: tuple
@@ -60,9 +62,18 @@ class Schedule:
     def __post_init__(self):
         if not self.segments:
             raise OutOfRange("schedule needs at least one segment")
-        for _, duration in self.segments:
+        for hamiltonian, duration in self.segments:
             if not (np.isfinite(duration) and duration > 0.0):
                 raise OutOfRange(f"segment duration {duration!r} must be positive")
+            if callable(hamiltonian):
+                continue
+            if not isinstance(hamiltonian, geodesics.HamiltonianCoeffs):
+                kind = type(hamiltonian).__name__
+                raise ValueError(f"a constant segment is a {kind}, expected HamiltonianCoeffs")
+            shapes = np.shape(hamiltonian.h0), np.shape(hamiltonian.h)
+            if shapes != ((), (8,)):
+                message = "a constant segment has h0, h of shapes {}, {}, expected (), (8,)"
+                raise ValueError(message.format(*shapes))
 
     @property
     def total_duration(self):
@@ -311,9 +322,17 @@ def _adjoint_operator(coeffs, out=None):
 
 
 def integrate_nvector(n0, schedule, step=1e-3):
-    """RK4-integrate dn/ds = 2 h ^ n through a schedule in the adjoint picture."""
+    """RK4-integrate dn/ds = 2 h ^ n through a schedule in the adjoint picture.
+
+    n0 is one eight-vector on O: any other shape raises ValueError.  The walk
+    takes a contiguous copy of a strided n0, so equal values give equal doubles.
+    """
     counts = _step_counts(schedule, step)
-    s, ns = _walk(states.assert_on_O(n0), schedule, counts, _adjoint_operator)
+    n0 = np.asarray(n0, dtype=float)
+    if n0.shape != (8,):
+        raise ValueError(f"n0 has shape {n0.shape}, expected (8,)")
+    n0 = np.ascontiguousarray(states.assert_on_O(n0))
+    s, ns = _walk(n0, schedule, counts, _adjoint_operator)
     return Trajectory(s=s, n=ns)
 
 

@@ -68,9 +68,16 @@ def in_phase_lift(rho1, rho2):
     psi1 follows the deterministic gauge of lift_of_density; psi2 is the
     lift of rho2 rephased so that (psi1, psi2) > 0.
     """
-    psi1, psi2 = states.lift_of_density([rho1, rho2])
-    ip = states.nonorthogonal(np.vdot(psi1, psi2), OrthogonalEndpoints)
-    return psi1, psi2 * np.exp(-1j * np.angle(ip))
+    psi1, psi2 = _in_phase(states.lift_of_density([rho1, rho2]))
+    return psi1, psi2
+
+
+def _in_phase(chain):
+    # rephase (k, 3) rows in place, each overlap with the row before real and positive
+    for row in range(1, len(chain)):  # each rephasing needs the one before
+        ip = states.nonorthogonal(np.vdot(chain[row - 1], chain[row]), OrthogonalEndpoints)
+        chain[row] *= np.exp(-1j * np.angle(ip))
+    return chain
 
 
 def _geodesics_from_in_phase(starts, ends):
@@ -101,8 +108,8 @@ def geodesic_between(rho1, rho2):
     below COINCIDENT_TOL (1e-12), an angle below about 1e-6; they give a
     degenerate curve of length 0.  Every pair farther apart gets a curve.
     """
-    psi1, psi2 = in_phase_lift(rho1, rho2)
-    return _geodesics_from_in_phase(psi1[None], psi2[None])[0]
+    chain = _in_phase(states.lift_of_density([rho1, rho2]))
+    return _geodesics_from_in_phase(chain[:1], chain[1:])[0]
 
 
 def polygon_sides(rhos):
@@ -115,10 +122,7 @@ def polygon_sides(rhos):
     """
     if len(rhos) < 3:
         raise TooFewSamples("a polygon needs at least three vertices")
-    chain = states.lift_of_density(rhos)[[*range(len(rhos)), 0]]  # a copy, closed by lift 0
-    for row in range(1, len(chain)):  # each rephasing needs the one before
-        ip = states.nonorthogonal(np.vdot(chain[row - 1], chain[row]), OrthogonalEndpoints)
-        chain[row] *= np.exp(-1j * np.angle(ip))
+    chain = _in_phase(states.lift_of_density(rhos)[[*range(len(rhos)), 0]])  # a copy, closed by lift 0
     return _geodesics_from_in_phase(chain[:-1], chain[1:])
 
 
@@ -166,7 +170,8 @@ class HamiltonianCoeffs(NamedTuple):
     the matrix of that Hamiltonian alone.  Every entry of h.l has at most
     two terms, so matrix() gathers them (su3.two_term_sum) instead of
     contracting h with LAMBDA, and gives the contraction's doubles,
-    h0 I + einsum('...r,rij->...ij', h, LAMBDA), signed zeros included.
+    h0 I + einsum('...r,rij->...ij', h, LAMBDA), signed zeros included; an
+    h whose last axis is not 8 raises ValueError.
     """
 
     h0: float

@@ -178,25 +178,24 @@ def lift_of_density(rho):
     r = np.asarray(rho, dtype=complex)
     if r.shape[-2:] != (3, 3) or r.ndim > 3 or r.size == 0:
         raise ValueError(f"density matrix must have shape (3, 3) or (k, 3, 3), got {r.shape}")
-    memo = len(r) <= 3  # a single matrix has three rows, so only larger stacks bypass
+    stack = r.reshape(-1, 3, 3)  # a single density is a stack of one
+    memo = len(stack) <= 3
     if memo:
         key = (r.shape, r.tobytes())
         last = _last_lift
         if last is not None and last[0] == key:
             return last[1].copy()
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
-        hermiticity = np.abs(r - r.conj().swapaxes(-1, -2))
-        purity = np.abs(r @ r - r)
-        trace = np.abs(r.trace(axis1=-2, axis2=-1).real - 1.0)
+        hermiticity = np.abs(stack - stack.conj().swapaxes(-1, -2))
+        purity = np.abs(stack @ stack - stack)
+        trace = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
     if not all(w.max() <= PURITY_TOL for w in (hermiticity, purity, trace)):
-        # judge each matrix as a single call does; a NaN defect fails too
-        worst = (hermiticity.reshape(-1, 9).max(1), purity.reshape(-1, 9).max(1), trace.ravel())
-        for defects in zip(*(w.tolist() for w in worst)):
-            if not all(d <= PURITY_TOL for d in defects):
-                message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
-                raise ValueError(message.format(*defects))
-    tops = np.linalg.eigh(r)[1][..., -1]
-    lifts = _gauged(tops) if r.ndim == 3 else _gauged(tops[None])[0]
+        # report the first matrix a single call rejects; a NaN defect fails too
+        worst = np.stack((hermiticity.max(axis=(1, 2)), purity.max(axis=(1, 2)), trace), axis=1)
+        row = int((~(worst <= PURITY_TOL)).any(axis=1).argmax())
+        message = "not a pure-state density matrix (defects {:.1e}, {:.1e}, {:.1e})"
+        raise ValueError(message.format(*worst[row].tolist()))
+    lifts = _gauged(np.linalg.eigh(stack)[1][..., -1]).reshape(r.shape[:-1])
     if memo:
         _last_lift = key, lifts.copy()
     return lifts

@@ -121,7 +121,8 @@ F_TERMS = _two_term_form(F.transpose(1, 0, 2).reshape(8, 64))
 def two_term_sum(h, terms, out=None):
     """Columns sum_s h_s T[s, m] of a table T given by its two-term form.
 
-    h may carry leading batch dimensions; out, if given, takes the result.
+    h may carry leading batch dimensions, and its last axis must hold the
+    table's eight rows, else ValueError; out, if given, takes the result.
     The doubles are those of the einsum over T: its zero terms change no
     nonzero sum, a sum of two products rounds the same in either order, and
     the final + 0.0 turns a -0 into the +0 an einsum accumulator gives.  The
@@ -131,6 +132,8 @@ def two_term_sum(h, terms, out=None):
     """
     index, coeff, seconds = terms
     h = np.asarray(h, dtype=float)
+    if h.shape[-1:] != (8,):
+        raise ValueError(f"two_term_sum got h of shape {h.shape}, expected (..., 8)")
     # in range; "wrap" skips the bounds check
     total = np.take(h, index, axis=-1, mode="wrap", out=out)
     total *= coeff

@@ -518,7 +518,7 @@ PINNED_CALLABLE = {
     "state.phi_p": "0518abddbbf06aff0455b5d1b907fe8bb638f11320148e46b32687b8ee98d8cd",
     "state.phi_dyn": "4a1c4e6b9aba2673cb2cce4783bf0129d402aa4c6664a7d9afe1e2a794bea52b",
     "nvector.s": "95104f76873ba13854151ebe548236c59939fc370472fe4e0b0e57d381baf70e",
-    "nvector.n": "204c67af25b8220562b22af38cb63a108cd872634bfc165b4ac8fea7b747325d",
+    "nvector.n": "6d44fc4dad9d95a8f3509d1a54ad9bc8f7ee17003cbf4c3acf163b53d5a14795",
 }
 
 
@@ -659,3 +659,51 @@ def test_callable_of_the_wrong_shape_raises_before_any_step(monkeypatch, picture
         with pytest.raises(ValueError) as raised:
             integrate[picture](x0, schedule, 1e-3)
         assert str(raised.value).endswith(f"shape {got}, expected (21, 8)")
+
+
+def test_constant_segments_of_the_wrong_shape_raise():
+    h = np.linspace(1.0, -1.0, 9) * 0.3
+    bad = {
+        "h of shape (9,)": geodesics.HamiltonianCoeffs(0.0, h),
+        "h of shape (7,)": geodesics.HamiltonianCoeffs(0.0, h[:7]),
+        "h of shape (2, 8)": geodesics.HamiltonianCoeffs(0.0, np.stack((h[:8], h[1:]))),
+        "h0 of shape (2,)": geodesics.HamiltonianCoeffs(np.zeros(2), h[:8]),
+        "a plain array": h[:8],
+        "a plain pair": (0.0, h[:8]),
+    }
+    for name, hamiltonian in bad.items():
+        with pytest.raises(ValueError, match="a constant segment"):
+            evolution.Schedule(((hamiltonian, 0.5),))
+        with pytest.raises(ValueError, match="a constant segment"):  # not only the first segment
+            evolution.Schedule(((split_family, 0.1), (hamiltonian, 0.5)))
+    good = geodesics.HamiltonianCoeffs(np.float64(0.2), list(h[:8]))
+    assert evolution.Schedule(((good, 0.5),)).total_duration == 0.5
+
+
+@pytest.mark.parametrize("shape", [(9,), (7,), (2, 9), ()])
+def test_matrix_takes_only_eight_coefficients(shape):
+    coeffs = geodesics.HamiltonianCoeffs(0.0, np.ones(shape))
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 8\)"):
+        coeffs.matrix()
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 8\)"):
+        evolution._adjoint_operator(coeffs)
+
+
+def test_integrate_nvector_takes_one_eight_vector():
+    n0 = states.n_vectors_of(states.random_states(3, 2))
+    schedules = split_schedule(), evolution.Schedule(((split_family, 0.01),))
+    for bad in (n0, n0[:0], n0[:, :, None], n0[0, :7]):
+        for schedule in schedules:
+            with pytest.raises(ValueError, match=r"expected \(8,\)"):
+                evolution.integrate_nvector(bad, schedule, 1e-3)
+
+
+def test_integrate_nvector_doubles_do_not_depend_on_layout():
+    n0 = states.n_vector_of(states.random_state(6))
+    assert not n0.flags.c_contiguous  # the real part of a complex einsum
+    wide = np.zeros((8, 3))
+    wide[:, 1] = n0
+    layouts = n0, wide[:, 1], np.ascontiguousarray(n0[::-1])[::-1], n0.copy()
+    for schedule in (split_schedule(), canonical_schedule(0.6)[1]):
+        runs = [evolution.integrate_nvector(x, schedule, 1e-3).n for x in layouts]
+        assert all(same_bits(run, runs[-1]) for run in runs)
