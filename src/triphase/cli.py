@@ -51,9 +51,7 @@ _EXIT_CODES = ((_FileError, 4), (OrthogonalityError, 3), (TriphaseError, 2))
 MAX_GEODESIC_SAMPLES = 10**6
 MAX_CHECK_TRIALS = 10**4
 
-# Rows of a CSV table formatted and written at a time, bounding memory.  Freeing a block
-# this large raises glibc's mmap and trim thresholds, which keeps csvtext.csv_text's
-# temporaries over 128 KiB off mmap: 240-row blocks made an evolve run 28% slower.
+# Rows of a CSV table formatted and written at a time, bounding memory.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -86,8 +84,12 @@ def _emit(text, out, columns=(), tail=""):
     from the vector path where its 17 digits are proven, else from Python's
     '%.17g' (zero, inf, nan, E = floor(log10|v|) outside
     csvtext.FAST_EXPONENTS, or a rounding within csvtext.ROUNDING_GUARD of
-    a tie).  An output that cannot be opened or written raises _FileError,
-    and a failed stdout is pointed at os.devnull so that the interpreter's
+    a tie).  A block's passes are formatted on up to two threads and
+    written in order, so the bytes do not depend on the CPU count; a
+    one-pass block, or a process held to one CPU, starts no thread.  An
+    output that cannot be opened or written raises _FileError, and the
+    abandoned csv_chunks generator joins its helper thread as it closes;
+    a failed stdout is pointed at os.devnull so that the interpreter's
     final flush of its buffer cannot fail again.
     """
     try:

@@ -1,22 +1,32 @@
 """CSV text of float tables, byte for byte what '%.17g' % v prints.
 
-csv_chunks yields a table's text in vector passes.  Each value's 17
-significant digits come from a double-double product with an exact table
-of powers of ten (Dekker's split product) and are used only where an
-error bound proves them correctly rounded; every other value (zero, inf,
-nan, a magnitude outside FAST_EXPONENTS, a rounding within ROUNDING_GUARD
-of a tie) takes Python's own '%.17g'.  cli imports this module on its
-first CSV table, so runs that print no table do not compile it.
+csv_chunks yields a table's text in vector passes, formatted on up to
+two threads and joined in order, so the bytes do not depend on the CPU
+count; a one-pass table, or a process held to one CPU, starts no thread.
+Each value's 17 significant digits come from a double-double product with
+an exact table of powers of ten (Dekker's split product) and are used
+only where an error bound proves them correctly rounded; every other
+value (zero, inf, nan, a magnitude outside FAST_EXPONENTS, a rounding
+within ROUNDING_GUARD of a tie) takes Python's own '%.17g'.  cli imports
+this module on its first CSV table, so runs that print no table do not
+compile it.
 """
 
 import functools
+import os
+import threading
 
 import numpy as np
 
-# Values formatted and written per vector pass.  At this size every temporary
-# comes back warm from the heap; one pass over a whole block faulted in about
-# 3000 fresh pages per evolve run.
-PASS_VALUES = 4096
+# Most values formatted and written per vector pass.  Two threads overlap only
+# inside numpy calls that outlast a GIL hand-off: on a 2-vCPU x86 host they ran
+# csv_text 0.98x as fast as one thread on 4096-value passes and 1.4-1.6x on
+# 16384 or more.  So an evolve table of about 3000 rows is two passes, one per
+# thread.  A pass's temporaries peak at about 126 bytes per value.  Without
+# _keep_on_heap glibc returns them to the system after each pass and faults
+# them in again: about 1900 fresh pages per evolve item on one thread or two
+# (ru_minflt in process), against at most 1 with it.
+PASS_VALUES = 32640
 
 # Decimal exponents E = floor(log10|x|) that the vector writer formats; other
 # magnitudes go to Python.  Every split product below stays far from overflow
@@ -137,6 +147,9 @@ def csv_text(table):
     planes[2:22].reshape(5, 4, n)[...] = (
         quads[groups].view(np.uint8).reshape(5, n, 4).transpose(0, 2, 1)
     )
+    # arrays are dropped once used: a pass peaked at 210 bytes a value without
+    # these dels, fresh pages that each thread faults in on a process's first table
+    del digits, groups, high, low
     # digits of D left once trailing zeros go (its leading digit is not 0)
     significant = ((planes[5:22] != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(0)
     fixed = (exponent >= -4) & (exponent < 17)
@@ -156,6 +169,7 @@ def csv_text(table):
     np.subtract(planes[1:23], planes[:22], out=body)
     body *= row < point
     body += planes[:22]
+    del planes
     body[point, np.arange(n)] = ord(".")
     np.greater_equal(row, start, out=keep[1:23])
     keep[1:23] &= row < stop
@@ -179,7 +193,9 @@ def csv_text(table):
         cells[:24, slow] = text
         keep[:28, slow] = False
         keep[:24, slow] = text != 0
-    return cells.T[keep.T].tobytes().decode("ascii")
+    joined = cells.T[keep.T]
+    del cells, keep
+    return joined.tobytes().decode("ascii")
 
 
 def csv_chunks(table):
@@ -191,8 +207,96 @@ def csv_chunks(table):
     trailing zeros and a bare point dropped.  Zero, inf, nan, a value with
     E outside FAST_EXPONENTS and one whose rounding lies too near a tie
     take Python's '%.17g' itself.  Each piece is one csv_text pass over
-    whole rows, about PASS_VALUES values.
+    whole rows, at most PASS_VALUES values where a row allows.  A table of
+    two passes or more is formatted on up to two threads (_two_threads)
+    when the process may run on two CPUs or more; the pieces are joined in
+    order either way, so the text does not depend on the CPU count.  A
+    one-pass table, or a process held to one CPU, is formatted on the
+    caller's thread and starts no thread.
     """
-    step = max(1, PASS_VALUES // table.shape[1])
-    for first in range(0, len(table), step):
-        yield csv_text(table[first : first + step])
+    # the fewest passes of at most PASS_VALUES values, an even number past one
+    # so that two threads get equal shares, with equal row counts but the last
+    count = -(-table.size // PASS_VALUES)
+    count += count % 2 if count > 1 else 0
+    step = max(1, -(-len(table) // max(count, 1)))
+    passes = [table[first : first + step] for first in range(0, len(table), step)]
+    _keep_on_heap(256 * PASS_VALUES)  # twice a pass's peak of about 126 bytes a value
+    if len(passes) > 1 and _cpus() > 1:
+        yield from _two_threads(passes)
+    else:
+        for rows in passes:
+            yield csv_text(rows)
+
+
+@functools.cache
+def _keep_on_heap(size):
+    """Allocate and free size bytes once per process, so that a pass's
+    temporaries stay on the heap between passes.
+
+    glibc maps a block above its mmap threshold (128 KiB at start) and,
+    when one is freed, raises that threshold to its size and the heap's
+    trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).  Below
+    the trim threshold the memory a pass frees is kept for the next pass,
+    in the caller's malloc arena and in the helper thread's own, at the
+    cost of holding up to 2 * size freed bytes in each.  Other allocators
+    ignore it.
+    """
+    np.empty(size, dtype=np.uint8)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _two_threads(passes):
+    """Yield csv_text of each pass in order, formatting them on the caller's
+    thread and one helper thread; numpy releases the GIL inside its loops,
+    so two passes run at once.
+
+    Both threads claim the next unformatted pass from one shared counter,
+    and each pass is yielded as soon as it is done, so the caller's
+    writing of pass k overlaps the formatting of later ones.  An
+    exception raised in a pass is raised here in that pass's turn.
+    Closing the generator, as an abandoned one is closed, stops the helper
+    from claiming passes and joins it.
+    """
+    _digit_tables()  # built once, before two threads could each build it
+    texts = [None] * len(passes)
+    done = [threading.Event() for _ in passes]
+    unclaimed = iter(range(len(passes)))
+    lock, stopping = threading.Lock(), threading.Event()
+
+    def format_next():
+        """Format the next unclaimed pass; False when none is left."""
+        with lock:
+            k = None if stopping.is_set() else next(unclaimed, None)
+        if k is None:
+            return False
+        try:
+            texts[k] = csv_text(passes[k])
+        except Exception as exc:  # handed to the caller in pass k's turn
+            texts[k] = exc
+        done[k].set()
+        return True
+
+    def format_all():
+        while format_next():
+            pass
+
+    helper = threading.Thread(target=format_all)
+    helper.start()
+    try:
+        for k in range(len(passes)):
+            while not done[k].is_set() and format_next():
+                pass
+            done[k].wait()
+            text, texts[k] = texts[k], None
+            if isinstance(text, Exception):
+                raise text
+            yield text
+    finally:
+        stopping.set()
+        helper.join()

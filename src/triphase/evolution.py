@@ -51,10 +51,11 @@ class Schedule:
     A hamiltonian is a HamiltonianCoeffs, constant over its segment, or a
     callable that maps a 1-D array of k parameters, measured from the
     segment start, to one HamiltonianCoeffs with h0 of shape (k,) and h of
-    shape (k, 8), as geodesics.geodesic_hamiltonian_family does; an h of
-    another shape raises ValueError before the block's RK4 steps.  A
-    constant segment that is not a HamiltonianCoeffs with a scalar h0 and
-    h of shape (8,) raises ValueError here.
+    shape (k, 8), as geodesics.geodesic_hamiltonian_family does; an h or
+    h0 of another shape, a scalar h0 among them, raises ValueError before
+    the block's RK4 steps.  A constant segment that is not a
+    HamiltonianCoeffs with a scalar h0 and h of shape (8,) raises
+    ValueError here.
     """
 
     segments: tuple
@@ -223,10 +224,12 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                 stages = np.empty(2 * len(edges) - 1)
                 stages[0::2] = edges
                 stages[1::2] = edges[:-1] + 0.5 * h
-                coeffs, shape = hamiltonian(stages), (len(stages), 8)
-                if np.shape(coeffs.h) != shape:
-                    message = "a schedule callable gave h of shape {}, expected {}"
-                    raise ValueError(message.format(np.shape(coeffs.h), shape))
+                coeffs = hamiltonian(stages)
+                for name, shape in (("h", (len(stages), 8)), ("h0", (len(stages),))):
+                    got = np.shape(getattr(coeffs, name))
+                    if got != shape:
+                        message = "a schedule callable gave {} of shape {}, expected {}"
+                        raise ValueError(message.format(name, got, shape))
                 # 5k + 1 slots of d x d doubles, one allocation: separate arrays ran perfbench
                 # transport 13% slower (2-vCPU x86), and reuse across blocks gained nothing
                 k = len(edges) - 1

@@ -1,6 +1,9 @@
 """The vectorised CSV writer against Python's own '%.17g', byte for byte."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -128,3 +131,158 @@ def test_pass_boundaries_do_not_change_text(monkeypatch, columns):
     whole = written(table)
     monkeypatch.setattr(csvtext, "PASS_VALUES", 7)
     assert written(table) == whole == reference(table)
+
+
+def cpus(monkeypatch, count):
+    """Let csvtext see count CPUs, whatever the host has."""
+    monkeypatch.setattr(csvtext, "_cpus", lambda: count)
+
+
+def thread_starts(monkeypatch):
+    """The threads started from here on, recorded as they start."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(csvtext.threading, "Thread", Recorded)
+    return started
+
+
+def four_passes(columns, seed):
+    """A table of four passes, its rows no multiple of a pass's rows, with
+    values that take Python's '%.17g' (zeros, inf, nan, ties, exponents
+    out of range) in its first and last pass and between them."""
+    rng = np.random.default_rng(seed)
+    rows = 2 * csvtext.PASS_VALUES // columns + 1
+    values = rng.standard_normal(rows * columns) * 10.0 ** rng.integers(-8, 9, rows * columns)
+    fallback = np.concatenate((
+        around([0.0, math.inf, math.nan, 1e-300, 1e300, 10.0 ** (LOW - 1), 10.0 ** (HIGH + 2)]),
+        ties(rng, 20),
+    ))
+    spots = np.linspace(0, values.size - 1, fallback.size).astype(int)
+    values[spots] = fallback
+    assert not csvtext.seventeen_digits(values[spots])[2].any()
+    return values.reshape(rows, columns)
+
+
+@pytest.mark.parametrize("columns", [1, 7, 17])
+def test_passes_on_two_threads_match_one_thread(monkeypatch, columns):
+    table = four_passes(columns, seed=columns)
+    expected = reference(table)
+    started = thread_starts(monkeypatch)
+    cpus(monkeypatch, 2)
+    assert written(table) == expected
+    assert len(started) == 1 and not started[0].is_alive()
+    cpus(monkeypatch, 1)
+    assert written(table) == expected
+    assert len(started) == 1
+
+
+def test_one_pass_table_starts_no_thread(monkeypatch):
+    # the geodesic verb's default: 200 samples of s and n1..n8
+    table = np.random.default_rng(200).standard_normal((200, 9))
+    started = thread_starts(monkeypatch)
+    cpus(monkeypatch, 2)
+    assert written(table) == reference(table)
+    assert started == []
+
+
+def test_a_failing_pass_raises_in_its_turn(monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
+    table = np.random.default_rng(6).standard_normal((200, 4))
+    table[150, 0] = 7.0
+    real = csvtext.csv_text
+
+    def failing(rows):
+        if (rows[:, 0] == 7.0).any():
+            raise ZeroDivisionError("the pass of row 150")
+        return real(rows)
+
+    monkeypatch.setattr(csvtext, "csv_text", failing)
+    pieces = []
+    with pytest.raises(ZeroDivisionError, match="row 150"):
+        pieces.extend(csvtext.csv_chunks(table))
+    # every pass before the failing one came out, and none after it
+    text = "".join(pieces)
+    assert text == reference(table[: text.count("\n")]) and 100 < text.count("\n") <= 150
+
+
+def test_an_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
+    table = np.random.default_rng(7).standard_normal((200, 4))
+    real = csvtext.csv_text
+    helper_failed = threading.Event()
+
+    def failing_off_the_caller(rows):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise ZeroDivisionError("helper")
+        # the caller waits until the helper has claimed a pass and failed it
+        assert helper_failed.wait(timeout=30)
+        return real(rows)
+
+    monkeypatch.setattr(csvtext, "csv_text", failing_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="helper"):
+        written(table)
+    assert threading.active_count() == before
+
+
+def test_an_abandoned_generator_joins_its_helper(monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
+    table = np.random.default_rng(8).standard_normal((20000, 4))
+    claimed = []
+    real = csvtext.csv_text
+    monkeypatch.setattr(csvtext, "csv_text", lambda rows: claimed.append(rows) or real(rows))
+    before = threading.active_count()
+    chunks = csvtext.csv_chunks(table)
+    assert next(chunks) == reference(table[: len(claimed[0])])
+    del chunks  # as _emit drops it when a write fails
+    assert threading.active_count() == before
+    # the helper stopped claiming: joining it waited for its pass in hand,
+    # not for all 1250
+    assert len(claimed) < 1250
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_joins_the_helper(monkeypatch):
+    from triphase import cli
+
+    cpus(monkeypatch, 2)
+    table = np.random.default_rng(9).standard_normal((4000, 17))
+    before = threading.active_count()
+    with pytest.raises(cli._FileError, match="cannot write /dev/full"):
+        cli._emit("header\n", "/dev/full", (table,))
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_each_get_their_own_text(monkeypatch):
+    # four callers, each with its helper, on a short switch interval: a pass
+    # claimed twice or lost, or a text handed to the wrong caller, shows here
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(csvtext, "PASS_VALUES", 40)
+    rng = np.random.default_rng(10)
+    tables = [rng.standard_normal((150, columns)) for columns in (1, 3, 7, 17)]
+    texts = {}
+
+    def caller(k):
+        texts[k] = written(tables[k])
+
+    callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(tables))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert [texts.get(k) for k in range(len(tables))] == [reference(t) for t in tables]

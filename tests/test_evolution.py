@@ -661,6 +661,24 @@ def test_callable_of_the_wrong_shape_raises_before_any_step(monkeypatch, picture
         assert str(raised.value).endswith(f"shape {got}, expected (21, 8)")
 
 
+@pytest.mark.parametrize("picture", ["state", "nvector"])
+def test_callable_h0_of_the_wrong_shape_raises_before_any_step(monkeypatch, picture):
+    def family(s):  # h of the right shape (k, 8), h0 the one of the loop below
+        return geodesics.HamiltonianCoeffs(h0, split_family(s).h)
+
+    def never(*args):
+        raise AssertionError("an RK4 step ran before the shape was checked")
+
+    monkeypatch.setattr(evolution, "_rk4_increment", never)
+    integrate = {"state": evolution.integrate_state, "nvector": evolution.integrate_nvector}
+    x0 = states.POLES[2] if picture == "nvector" else E3
+    schedule = evolution.Schedule(((family, 0.01),))
+    for h0, got in ((np.zeros(3), "(3,)"), (np.zeros(()), "()"), (np.zeros((21, 1)), "(21, 1)")):
+        with pytest.raises(ValueError, match="h0 of shape") as raised:
+            integrate[picture](x0, schedule, 1e-3)
+        assert str(raised.value).endswith(f"shape {got}, expected (21,)")
+
+
 def test_constant_segments_of_the_wrong_shape_raise():
     h = np.linspace(1.0, -1.0, 9) * 0.3
     bad = {
