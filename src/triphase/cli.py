@@ -4,10 +4,9 @@ Machine summaries go out as JSON lines, sampled curves as CSV with a
 trailing '#' comment carrying the run summary.  All floats are printed
 with 17 significant digits so doubles round-trip exactly, and output for
 a fixed seed and flag set is byte-identical across runs.  A CSV value is
-the text of '%.17g' % v: the vector writer in csvtext computes it from a
-correctly rounded 17-digit decimal for whole tables at once, and hands
-zero, inf, nan, magnitudes outside 1e-99..1e100 and near-ties to Python's
-'%.17g'.
+the text of '%.17g' % v, written by csvtext.csv_chunks (see there for how
+a table is cut, how much of it is held at once, and which values take
+Python's '%.17g').
 
 Exit codes: 0 success, 1 failed invariant sweep, 2 bad parameter or
 range violation, 3 orthogonal states where a phase or geodesic needs an
@@ -51,10 +50,6 @@ _EXIT_CODES = ((_FileError, 4), (OrthogonalityError, 3), (TriphaseError, 2))
 MAX_GEODESIC_SAMPLES = 10**6
 MAX_CHECK_TRIALS = 10**4
 
-# Rows of a CSV table formatted and written at a time, bounding memory.
-_CSV_BLOCK_ROWS = 4096
-
-
 def _render(obj):
     """Compact JSON with 17-significant-digit floats."""
     if obj is None:
@@ -78,19 +73,13 @@ def _emit(text, out, columns=(), tail=""):
     """Write text, then the columns as CSV rows, then tail, to out or stdout.
 
     columns are arrays of equal length, each 1-D or 2-D, laid side by side
-    into rows; they are stacked _CSV_BLOCK_ROWS rows at a time, so no copy
-    of the whole table or its text is ever built.  csvtext.csv_chunks
-    formats and writes each block: every value as '%.17g' % v prints it,
-    from the vector path where its 17 digits are proven, else from Python's
-    '%.17g' (zero, inf, nan, E = floor(log10|v|) outside
-    csvtext.FAST_EXPONENTS, or a rounding within csvtext.ROUNDING_GUARD of
-    a tie).  A block's passes are formatted on up to two threads and
-    written in order, so the bytes do not depend on the CPU count; a
-    one-pass block, or a process held to one CPU, starts no thread.  An
-    output that cannot be opened or written raises _FileError, and the
-    abandoned csv_chunks generator joins its helper thread as it closes;
-    a failed stdout is pointed at os.devnull so that the interpreter's
-    final flush of its buffer cannot fail again.
+    into rows and written by csvtext.csv_chunks, whose docstring gives how
+    a table is cut into passes, how far formatting runs ahead of the write,
+    and which values take Python's '%.17g'.  An output that cannot be
+    opened or written raises _FileError, and the abandoned csv_chunks
+    generator joins its helper thread as it closes; a failed stdout is
+    pointed at os.devnull so that the interpreter's final flush of its
+    buffer cannot fail again.
     """
     try:
         with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
@@ -98,10 +87,7 @@ def _emit(text, out, columns=(), tail=""):
             if columns:
                 from . import csvtext
 
-                for first in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                    rows = slice(first, first + _CSV_BLOCK_ROWS)
-                    block = np.column_stack([c[rows] for c in columns])
-                    handle.writelines(csvtext.csv_chunks(block))
+                handle.writelines(csvtext.csv_chunks(*columns))
             handle.write(tail)
             handle.flush()
     except OSError as exc:

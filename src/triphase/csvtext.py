@@ -1,8 +1,9 @@
 """CSV text of float tables, byte for byte what '%.17g' % v prints.
 
-csv_chunks yields a table's text in vector passes, formatted on up to
-two threads and joined in order, so the bytes do not depend on the CPU
-count; a one-pass table, or a process held to one CPU, starts no thread.
+csv_chunks cuts a table once into vector passes and yields their text,
+formatted on up to two threads with at most two passes ahead of the
+reader and joined in order, so the bytes do not depend on the CPU count;
+a one-pass table, or a process held to one CPU, starts no thread.
 Each value's 17 significant digits come from a double-double product with
 an exact table of powers of ten (Dekker's split product) and are used
 only where an error bound proves them correctly rounded; every other
@@ -22,7 +23,7 @@ import numpy as np
 # inside numpy calls that outlast a GIL hand-off: on a 2-vCPU x86 host they ran
 # csv_text 0.98x as fast as one thread on 4096-value passes and 1.4-1.6x on
 # 16384 or more.  So an evolve table of about 3000 rows is two passes, one per
-# thread.  A pass's temporaries peak at about 126 bytes per value.  Without
+# thread.  A pass's temporaries peak at about 116 bytes per value.  Without
 # _keep_on_heap glibc returns them to the system after each pass and faults
 # them in again: about 1900 fresh pages per evolve item on one thread or two
 # (ru_minflt in process), against at most 1 with it.
@@ -167,9 +168,10 @@ def csv_text(table):
     # body row r holds digit r before the point and digit r - 1 after it
     body = cells[1:23]
     np.subtract(planes[1:23], planes[:22], out=body)
-    body *= row < point
+    np.less(row, point, out=keep[1:23])  # keep[1:23] is free until set below
+    body *= keep[1:23]
     body += planes[:22]
-    del planes
+    del planes, x
     body[point, np.arange(n)] = ord(".")
     np.greater_equal(row, start, out=keep[1:23])
     keep[1:23] &= row < stop
@@ -198,34 +200,42 @@ def csv_text(table):
     return joined.tobytes().decode("ascii")
 
 
-def csv_chunks(table):
-    """Yield the CSV text of a 2-D float table: each value as '%.17g' % v
-    prints it, ',' between columns and '\\n' after every row.
+def csv_chunks(*columns):
+    """Yield the CSV text of a table: each value as '%.17g' % v prints it,
+    ',' between columns and '\\n' after every row.
 
-    A value is written from its proven 17-digit decimal (seventeen_digits)
-    by %g's rules: fixed notation for -4 <= X < 17, else d.ddde+XX, with
-    trailing zeros and a bare point dropped.  Zero, inf, nan, a value with
-    E outside FAST_EXPONENTS and one whose rounding lies too near a tie
-    take Python's '%.17g' itself.  Each piece is one csv_text pass over
-    whole rows, at most PASS_VALUES values where a row allows.  A table of
-    two passes or more is formatted on up to two threads (_two_threads)
-    when the process may run on two CPUs or more; the pieces are joined in
-    order either way, so the text does not depend on the CPU count.  A
-    one-pass table, or a process held to one CPU, is formatted on the
-    caller's thread and starts no thread.
+    columns are arrays of equal length, each 1-D or 2-D, laid side by side
+    into rows.  A value is written from its proven 17-digit decimal
+    (seventeen_digits) by %g's rules: fixed notation for -4 <= X < 17,
+    else d.ddde+XX, with trailing zeros and a bare point dropped.  Zero,
+    inf, nan, a value with E outside FAST_EXPONENTS and one whose rounding
+    lies too near a tie take Python's '%.17g' itself.  Each piece is one
+    csv_text pass over whole rows, at most PASS_VALUES values where a row
+    allows, and a pass's rows are stacked only when it is formatted, so no
+    copy of the whole table or its text is built.  A table of two passes
+    or more is formatted on two threads (_two_threads) when the process may
+    run on two CPUs or more, with at most two passes formatted ahead of
+    the reader; the pieces are joined in order either way, so the text
+    does not depend on the CPU count.  A one-pass table, or a process held
+    to one CPU, is formatted on the caller's thread and starts no thread.
     """
     # the fewest passes of at most PASS_VALUES values, an even number past one
     # so that two threads get equal shares, with equal row counts but the last
-    count = -(-table.size // PASS_VALUES)
+    count = -(-sum(np.size(c) for c in columns) // PASS_VALUES)
     count += count % 2 if count > 1 else 0
-    step = max(1, -(-len(table) // max(count, 1)))
-    passes = [table[first : first + step] for first in range(0, len(table), step)]
-    _keep_on_heap(256 * PASS_VALUES)  # twice a pass's peak of about 126 bytes a value
-    if len(passes) > 1 and _cpus() > 1:
-        yield from _two_threads(passes)
+    step = max(1, -(-len(columns[0]) // max(count, 1)))
+    firsts = range(0, len(columns[0]), step)
+
+    def text(first):
+        """The text of the pass whose rows start at first."""
+        return csv_text(np.column_stack([c[first : first + step] for c in columns]))
+
+    _keep_on_heap(256 * PASS_VALUES)  # twice a pass's peak of about 116 bytes a value
+    if len(firsts) > 1 and _cpus() > 1:
+        yield from _two_threads(text, firsts)
     else:
-        for rows in passes:
-            yield csv_text(rows)
+        for first in firsts:
+            yield text(first)
 
 
 @functools.cache
@@ -251,52 +261,70 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-def _two_threads(passes):
-    """Yield csv_text of each pass in order, formatting them on the caller's
-    thread and one helper thread; numpy releases the GIL inside its loops,
-    so two passes run at once.
+def _two_threads(format_pass, passes):
+    """Yield format_pass of each pass in order, formatting them on the
+    caller's thread and one helper thread; numpy releases the GIL inside
+    its loops, so two passes run at once.
 
     Both threads claim the next unformatted pass from one shared counter,
     and each pass is yielded as soon as it is done, so the caller's
-    writing of pass k overlaps the formatting of later ones.  An
-    exception raised in a pass is raised here in that pass's turn.
-    Closing the generator, as an abandoned one is closed, stops the helper
-    from claiming passes and joins it.
+    writing of pass k overlaps the formatting of later ones.  Pass k is
+    formatted only once pass k - 2 has been yielded, so at most two passes
+    are formatted ahead of the reader: a reader that stalls stalls the
+    helper too, instead of leaving it to format the whole table.  The
+    helper waits for that on a lock per pass, which the caller releases
+    as it yields the pass; the caller, in its turn k, claims only passes
+    below k + 2, so it never waits on one.  An exception raised in a pass
+    is raised here in that pass's turn.  Closing the generator, as an
+    abandoned one is closed, stops the helper from claiming passes and
+    joins it.
     """
     _digit_tables()  # built once, before two threads could each build it
     texts = [None] * len(passes)
     done = [threading.Event() for _ in passes]
-    unclaimed = iter(range(len(passes)))
+    yielded = [threading.Lock() for _ in passes]  # each held until its pass is yielded
+    for gate in yielded:
+        gate.acquire()
     lock, stopping = threading.Lock(), threading.Event()
+    claimed = 0
 
-    def format_next():
-        """Format the next unclaimed pass; False when none is left."""
+    def format_next(limit):
+        """Format the next unclaimed pass if its index is under limit; False
+        when it is not, when none is left, or when the generator is closing."""
+        nonlocal claimed
         with lock:
-            k = None if stopping.is_set() else next(unclaimed, None)
-        if k is None:
-            return False
+            k = claimed
+            if stopping.is_set() or k >= min(limit, len(passes)):
+                return False
+            claimed += 1
+        if k >= 2:  # at once for the caller, which claims only under its turn + 2
+            yielded[k - 2].acquire()
         try:
-            texts[k] = csv_text(passes[k])
+            texts[k] = format_pass(passes[k])
         except Exception as exc:  # handed to the caller in pass k's turn
             texts[k] = exc
         done[k].set()
         return True
 
     def format_all():
-        while format_next():
+        while format_next(len(passes)):
             pass
 
     helper = threading.Thread(target=format_all)
     helper.start()
     try:
         for k in range(len(passes)):
-            while not done[k].is_set() and format_next():
+            while not done[k].is_set() and format_next(k + 2):
                 pass
             done[k].wait()
             text, texts[k] = texts[k], None
+            yielded[k].release()
             if isinstance(text, Exception):
                 raise text
             yield text
     finally:
         stopping.set()
+        for gate in yielded:  # wakes a helper waiting for a pass to be yielded
+            if gate.locked():
+                gate.release()
         helper.join()

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphase import checks, cli, evolution, geodesics, phases, states, su3
+from triphase import checks, cli, csvtext, evolution, geodesics, phases, states, su3
 
 PI_4 = repr(math.pi / 4)
 PI_2 = repr(math.pi / 2)
@@ -557,8 +557,8 @@ def test_csv_values_are_the_computed_doubles(tmp_path):
     assert np.array_equal(parsed, np.column_stack((grid, states.n_vectors_of(curve(grid)))))
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
+@pytest.mark.parametrize("values", [9, 63])
+def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, values):
     tri, s1, s2 = tmp_path / "tri.json", tmp_path / "a.json", tmp_path / "b.json"
     lifts = canonical_triangle_file(tri)
     write_state(s1, lifts[0])
@@ -571,20 +571,20 @@ def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, block):
     for k, argv in enumerate(runs):
         assert cli.main(argv + ["--out", str(tmp_path / f"whole{k}.csv")]) == 0
         whole.append((tmp_path / f"whole{k}.csv").read_bytes())
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+    monkeypatch.setattr(csvtext, "PASS_VALUES", values)
     for k, argv in enumerate(runs):
         assert cli.main(argv + ["--out", str(tmp_path / f"split{k}.csv")]) == 0
         assert (tmp_path / f"split{k}.csv").read_bytes() == whole[k]
 
 
 def test_geodesic_across_blocks_matches_row_template(tmp_path):
-    # 20000 rows span five _CSV_BLOCK_ROWS blocks and many writer passes
+    # 20000 rows of 9 values span more than four writer passes
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.csv"
     psi1, psi2 = states.random_state(3), states.random_state(4)
     write_state(a, psi1)
     write_state(b, psi2)
     assert cli.main(["geodesic", str(a), str(b), "--samples", "20000", "--out", str(out)]) == 0
-    assert 20000 > 4 * cli._CSV_BLOCK_ROWS
+    assert 20000 * 9 > 4 * csvtext.PASS_VALUES
     curve = geodesics.geodesic_between(states.density_of(psi1), states.density_of(psi2))
     grid = np.linspace(0.0, curve.length, 20000)
     table = np.column_stack((grid, states.n_vectors_of(curve(grid))))

@@ -190,6 +190,46 @@ def test_one_pass_table_starts_no_thread(monkeypatch):
     assert started == []
 
 
+def test_a_table_starts_one_helper(monkeypatch, tmp_path):
+    from triphase import cli
+
+    # six passes of geodesic's s and n1..n8, cut once for the whole table
+    table = np.random.default_rng(11).standard_normal((20000, 9))
+    started = thread_starts(monkeypatch)
+    cpus(monkeypatch, 2)
+    out = tmp_path / "table.csv"
+    cli._emit("", str(out), (table[:, 0], table[:, 1:]))
+    assert out.read_text() == reference(table)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_a_stalled_reader_holds_at_most_two_passes_ahead(monkeypatch):
+    cpus(monkeypatch, 2)
+    table = np.random.default_rng(12).standard_normal((200_000, 9))
+    formatted = []
+    progress = threading.Event()
+    real = csvtext.csv_text
+
+    def counted(rows):
+        text = real(rows)
+        formatted.append(len(rows))
+        progress.set()
+        return text
+
+    monkeypatch.setattr(csvtext, "csv_text", counted)
+    before = threading.active_count()
+    chunks = csvtext.csv_chunks(table)
+    first = next(chunks)
+    # the reader stalls until the helper has formatted nothing for 0.5 s
+    while progress.wait(timeout=0.5):
+        progress.clear()
+    # the text in the reader's hands and at most two more, of 56 passes
+    assert len(formatted) <= 3
+    assert first == reference(table[: formatted[0]])
+    chunks.close()
+    assert threading.active_count() == before
+
+
 def test_a_failing_pass_raises_in_its_turn(monkeypatch):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
