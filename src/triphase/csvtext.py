@@ -1,9 +1,10 @@
 """CSV text of float tables, byte for byte what '%.17g' % v prints.
 
-csv_chunks cuts a table once into vector passes and yields their text,
-formatted on up to two threads with at most two passes ahead of the
-reader and joined in order, so the bytes do not depend on the CPU count;
-a one-pass table, or a process held to one CPU, starts no thread.
+csv_chunks cuts a table once into vector passes and yields their text in
+order from one loop: the caller formats the even passes and one helper
+thread the odd ones, with at most two passes formatted ahead of the
+reader, so the bytes do not depend on the CPU count; a one-pass table, or
+a process held to one CPU, starts no thread.
 Each value's 17 significant digits come from a double-double product with
 an exact table of powers of ten (Dekker's split product) and are used
 only where an error bound proves them correctly rounded; every other
@@ -212,11 +213,18 @@ def csv_chunks(*columns):
     lies too near a tie take Python's '%.17g' itself.  Each piece is one
     csv_text pass over whole rows, at most PASS_VALUES values where a row
     allows, and a pass's rows are stacked only when it is formatted, so no
-    copy of the whole table or its text is built.  A table of two passes
-    or more is formatted on two threads (_two_threads) when the process may
-    run on two CPUs or more, with at most two passes formatted ahead of
-    the reader; the pieces are joined in order either way, so the text
-    does not depend on the CPU count.  A one-pass table, or a process held
+    copy of the whole table or its text is built.
+
+    A table of two passes or more, when the process may run on two CPUs or
+    more, is formatted on two threads; numpy releases the GIL inside its
+    loops, so two passes run at once.  The caller formats the even passes
+    and one helper thread the odd ones, in order, and each pass is yielded
+    in its turn, so the text does not depend on the CPU count.  The helper
+    starts pass 2j + 1 only once pass 2j - 1 has been taken, so at most two
+    passes are formatted ahead of the reader: a reader that stalls stalls
+    the helper too.  An exception raised in a pass is raised here in that
+    pass's turn.  Closing the generator, as an abandoned one is closed,
+    releases the helper and joins it.  A one-pass table, or a process held
     to one CPU, is formatted on the caller's thread and starts no thread.
     """
     # the fewest passes of at most PASS_VALUES values, an even number past one
@@ -231,11 +239,45 @@ def csv_chunks(*columns):
         return csv_text(np.column_stack([c[first : first + step] for c in columns]))
 
     _keep_on_heap(256 * PASS_VALUES)  # twice a pass's peak of about 116 bytes a value
-    if len(firsts) > 1 and _cpus() > 1:
-        yield from _two_threads(text, firsts)
-    else:
-        for first in firsts:
-            yield text(first)
+    odd = firsts[1::2] if len(firsts) > 1 and _cpus() > 1 else range(0)
+    texts = [None] * len(odd)
+    done = [threading.Event() for _ in odd]  # set once pass 2j + 1's text is in texts[j]
+    taken = [threading.Event() for _ in odd]  # set once the caller has taken it
+    closing = False
+
+    def format_odd():
+        for j, first in enumerate(odd):
+            if j:
+                taken[j - 1].wait()
+            if closing:
+                return
+            try:
+                texts[j] = text(first)
+            except Exception as exc:  # handed to the caller in this pass's turn
+                texts[j] = exc
+            done[j].set()
+
+    helper = threading.Thread(target=format_odd) if odd else None
+    if helper:
+        _digit_tables()  # built once, before two threads could each build it
+        helper.start()
+    try:
+        for k, first in enumerate(firsts):
+            if k % 2 == 0 or not odd:
+                piece = text(first)
+            else:
+                done[k // 2].wait()
+                piece, texts[k // 2] = texts[k // 2], None
+                taken[k // 2].set()
+                if isinstance(piece, Exception):
+                    raise piece
+            yield piece
+    finally:
+        closing = True
+        for event in taken:  # wakes a helper waiting for its last pass to be taken
+            event.set()
+        if helper:
+            helper.join()
 
 
 @functools.cache
@@ -259,72 +301,3 @@ def _cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _two_threads(format_pass, passes):
-    """Yield format_pass of each pass in order, formatting them on the
-    caller's thread and one helper thread; numpy releases the GIL inside
-    its loops, so two passes run at once.
-
-    Both threads claim the next unformatted pass from one shared counter,
-    and each pass is yielded as soon as it is done, so the caller's
-    writing of pass k overlaps the formatting of later ones.  Pass k is
-    formatted only once pass k - 2 has been yielded, so at most two passes
-    are formatted ahead of the reader: a reader that stalls stalls the
-    helper too, instead of leaving it to format the whole table.  The
-    helper waits for that on a lock per pass, which the caller releases
-    as it yields the pass; the caller, in its turn k, claims only passes
-    below k + 2, so it never waits on one.  An exception raised in a pass
-    is raised here in that pass's turn.  Closing the generator, as an
-    abandoned one is closed, stops the helper from claiming passes and
-    joins it.
-    """
-    _digit_tables()  # built once, before two threads could each build it
-    texts = [None] * len(passes)
-    done = [threading.Event() for _ in passes]
-    yielded = [threading.Lock() for _ in passes]  # each held until its pass is yielded
-    for gate in yielded:
-        gate.acquire()
-    lock, stopping = threading.Lock(), threading.Event()
-    claimed = 0
-
-    def format_next(limit):
-        """Format the next unclaimed pass if its index is under limit; False
-        when it is not, when none is left, or when the generator is closing."""
-        nonlocal claimed
-        with lock:
-            k = claimed
-            if stopping.is_set() or k >= min(limit, len(passes)):
-                return False
-            claimed += 1
-        if k >= 2:  # at once for the caller, which claims only under its turn + 2
-            yielded[k - 2].acquire()
-        try:
-            texts[k] = format_pass(passes[k])
-        except Exception as exc:  # handed to the caller in pass k's turn
-            texts[k] = exc
-        done[k].set()
-        return True
-
-    def format_all():
-        while format_next(len(passes)):
-            pass
-
-    helper = threading.Thread(target=format_all)
-    helper.start()
-    try:
-        for k in range(len(passes)):
-            while not done[k].is_set() and format_next(k + 2):
-                pass
-            done[k].wait()
-            text, texts[k] = texts[k], None
-            yielded[k].release()
-            if isinstance(text, Exception):
-                raise text
-            yield text
-    finally:
-        stopping.set()
-        for gate in yielded:  # wakes a helper waiting for a pass to be yielded
-            if gate.locked():
-                gate.release()
-        helper.join()

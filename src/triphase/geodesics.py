@@ -44,11 +44,14 @@ class GeodesicCurve:
     length: float
 
     def __post_init__(self):
+        # written as not (defect <= tol), so that a nan defect fails too
         for name, v in (("psi0", self.psi0), ("tangent", self.tangent)):
-            if abs(np.vdot(v, v).real - 1.0) > states.NORM_TOL:
+            if not (abs(np.vdot(v, v).real - 1.0) <= states.NORM_TOL):
                 raise ValueError(f"{name} is not normalized")
-        if abs(np.vdot(self.psi0, self.tangent)) > TANGENT_TOL:
+        if not (abs(np.vdot(self.psi0, self.tangent)) <= TANGENT_TOL):
             raise ValueError("tangent is not orthogonal to psi0")
+        if not (0.0 <= self.length < np.inf):  # 0 for coincident endpoints
+            raise ValueError(f"length {self.length} is not finite and >= 0")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

@@ -1,5 +1,6 @@
 """The vectorised CSV writer against Python's own '%.17g', byte for byte."""
 
+import contextlib
 import math
 import os
 import sys
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from triphase import csvtext
 
 LOW, HIGH = csvtext.FAST_EXPONENTS
+# the class itself, kept before thread_starts puts its recorder in its place
+Thread = threading.Thread
 
 
 def reference(table):
@@ -20,8 +23,41 @@ def reference(table):
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
 
 
+def on_a_worker(work, timeout=30):
+    """work() run on a daemon thread named 'reader' and joined within timeout
+    seconds: its result is returned and its exception raised here, so a
+    writer that deadlocks fails the test instead of hanging the run.  The
+    writer's helper, started from the reader, is a daemon thread too, so a
+    hung one does not keep the run from exiting either."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = work()
+        except BaseException as exc:  # raised again on the test's thread
+            outcome["error"] = exc
+
+    worker = Thread(target=run, name="reader", daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"the reader still runs after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def read(table, pieces):
+    """Extend pieces with the writer's text of table, closing the generator
+    however the reading ends."""
+    with contextlib.closing(csvtext.csv_chunks(table)) as chunks:
+        pieces.extend(chunks)
+
+
 def written(table):
-    return "".join(csvtext.csv_chunks(table))
+    """The writer's text of table, read on a worker thread (on_a_worker)."""
+    pieces = []
+    on_a_worker(lambda: read(table, pieces))
+    return "".join(pieces)
 
 
 def around(values):
@@ -198,7 +234,7 @@ def test_a_table_starts_one_helper(monkeypatch, tmp_path):
     started = thread_starts(monkeypatch)
     cpus(monkeypatch, 2)
     out = tmp_path / "table.csv"
-    cli._emit("", str(out), (table[:, 0], table[:, 1:]))
+    on_a_worker(lambda: cli._emit("", str(out), (table[:, 0], table[:, 1:])))
     assert out.read_text() == reference(table)
     assert len(started) == 1 and not started[0].is_alive()
 
@@ -218,15 +254,19 @@ def test_a_stalled_reader_holds_at_most_two_passes_ahead(monkeypatch):
 
     monkeypatch.setattr(csvtext, "csv_text", counted)
     before = threading.active_count()
-    chunks = csvtext.csv_chunks(table)
-    first = next(chunks)
-    # the reader stalls until the helper has formatted nothing for 0.5 s
-    while progress.wait(timeout=0.5):
-        progress.clear()
-    # the text in the reader's hands and at most two more, of 56 passes
-    assert len(formatted) <= 3
+
+    def stall():
+        with contextlib.closing(csvtext.csv_chunks(table)) as chunks:
+            first = next(chunks)
+            # the reader stalls until the helper has formatted nothing for 0.5 s
+            while progress.wait(timeout=0.5):
+                progress.clear()
+            return first, len(formatted)
+
+    first, ahead = on_a_worker(stall)
+    # the text in the reader's hands and the helper's next pass, of 56
+    assert ahead <= 2
     assert first == reference(table[: formatted[0]])
-    chunks.close()
     assert threading.active_count() == before
 
 
@@ -245,7 +285,7 @@ def test_a_failing_pass_raises_in_its_turn(monkeypatch):
     monkeypatch.setattr(csvtext, "csv_text", failing)
     pieces = []
     with pytest.raises(ZeroDivisionError, match="row 150"):
-        pieces.extend(csvtext.csv_chunks(table))
+        on_a_worker(lambda: read(table, pieces))
     # every pass before the failing one came out, and none after it
     text = "".join(pieces)
     assert text == reference(table[: text.count("\n")]) and 100 < text.count("\n") <= 150
@@ -259,10 +299,10 @@ def test_an_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
     helper_failed = threading.Event()
 
     def failing_off_the_caller(rows):
-        if threading.current_thread() is not threading.main_thread():
+        if threading.current_thread().name != "reader":
             helper_failed.set()
             raise ZeroDivisionError("helper")
-        # the caller waits until the helper has claimed a pass and failed it
+        # the caller waits until the helper has failed its first pass
         assert helper_failed.wait(timeout=30)
         return real(rows)
 
@@ -277,17 +317,23 @@ def test_an_abandoned_generator_joins_its_helper(monkeypatch):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
     table = np.random.default_rng(8).standard_normal((20000, 4))
-    claimed = []
+    formatted = []
     real = csvtext.csv_text
-    monkeypatch.setattr(csvtext, "csv_text", lambda rows: claimed.append(rows) or real(rows))
+    monkeypatch.setattr(csvtext, "csv_text", lambda rows: formatted.append(rows) or real(rows))
     before = threading.active_count()
-    chunks = csvtext.csv_chunks(table)
-    assert next(chunks) == reference(table[: len(claimed[0])])
-    del chunks  # as _emit drops it when a write fails
+
+    def abandon():
+        chunks = csvtext.csv_chunks(table)
+        try:
+            return next(chunks)
+        finally:
+            del chunks  # as _emit drops it when a write fails
+
+    assert on_a_worker(abandon) == reference(table[: len(formatted[0])])
     assert threading.active_count() == before
-    # the helper stopped claiming: joining it waited for its pass in hand,
-    # not for all 1250
-    assert len(claimed) < 1250
+    # the helper stopped: joining it waited for the pass in its hands, not
+    # for all 1250
+    assert len(formatted) < 1250
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -298,13 +344,13 @@ def test_a_failed_write_joins_the_helper(monkeypatch):
     table = np.random.default_rng(9).standard_normal((4000, 17))
     before = threading.active_count()
     with pytest.raises(cli._FileError, match="cannot write /dev/full"):
-        cli._emit("header\n", "/dev/full", (table,))
+        on_a_worker(lambda: cli._emit("header\n", "/dev/full", (table,)))
     assert threading.active_count() == before
 
 
 def test_concurrent_callers_each_get_their_own_text(monkeypatch):
     # four callers, each with its helper, on a short switch interval: a pass
-    # claimed twice or lost, or a text handed to the wrong caller, shows here
+    # formatted twice or lost, or a text handed to the wrong caller, shows here
     cpus(monkeypatch, 2)
     monkeypatch.setattr(csvtext, "PASS_VALUES", 40)
     rng = np.random.default_rng(10)
@@ -314,7 +360,7 @@ def test_concurrent_callers_each_get_their_own_text(monkeypatch):
     def caller(k):
         texts[k] = written(tables[k])
 
-    callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(tables))]
+    callers = [Thread(target=caller, args=(k,), daemon=True) for k in range(len(tables))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -89,6 +89,18 @@ def test_coincident_endpoints_degenerate():
     assert abs(abs(np.vdot(lift, psi)) ** 2 - 1.0) < 1e-12
 
 
+def test_curve_rejects_nan_vectors_and_bad_lengths():
+    e1, e2 = np.eye(3, dtype=complex)[:2]
+    assert geodesics.GeodesicCurve(e1, e2, 0.0).length == 0.0
+    nan = np.array([np.nan, 0, 0], dtype=complex)
+    for psi0, tangent in ((nan, e2), (e1, nan), (e1, e2 + nan)):
+        with pytest.raises(ValueError, match="normalized"):
+            geodesics.GeodesicCurve(psi0, tangent, 1.0)
+    for length in (np.nan, np.inf, -np.inf, -2.0, -1e-300):
+        with pytest.raises(ValueError, match="length"):
+            geodesics.GeodesicCurve(e1, e2, length)
+
+
 def test_sides_near_coincidence_keep_their_tolerances():
     # opening angles from just above the coincidence cutoff, 1e-6, to near pi/2,
     # every lift in a random gauge; the far vertex is at angle 0.7 from the first
