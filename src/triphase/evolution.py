@@ -1,10 +1,8 @@
 """Classical RK4 evolution in the state and eight-vector pictures.
 
-A schedule is a sequence of (hamiltonian, duration) segments.  Each
-hamiltonian entry is either a HamiltonianCoeffs or a callable mapping a
-1-D array of k parameters (measured from the segment start) to one
-HamiltonianCoeffs stack, h0 of shape (k,) and h of shape (k, 8), which
-keeps the integrator usable for the parameter-dependent geodesic family.
+A schedule is a sequence of (hamiltonian, duration) segments; a
+hamiltonian is a HamiltonianCoeffs or a callable giving a stack of them
+(see Schedule), as the geodesic family needs.
 
 State picture:        i dpsi/ds = H(s) psi      (renormalized each step)
 Eight-vector picture: dn/ds = 2 h(s) ^ n        (no renormalization)
@@ -13,21 +11,18 @@ Both run one fixed-step classical Runge-Kutta walk for the real linear ODE
 dx/ds = A(s) x; the step divides each segment duration exactly.  In the
 eight-vector picture x = n and A = 2 F.h.  In the state picture x is the
 real 6-vector psi.view(float) = (re0, im0, re1, im1, re2, im2) and A the
-real 6x6 form of -iH, whose 2x2 block (i, j) is
-[[Im H_ij, Re H_ij], [-Re H_ij, Im H_ij]]; the recorded psi is a complex
-view of the walked rows.  On a constant segment one RK4 step is the
-linear map x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h A.
-The walk forms this step matrix once per segment and reaches every step's
-state through powers of P taken by repeated squaring, with no loop over
-steps.  A parameter-dependent segment runs in blocks of steps: one call
-of its callable gives every stage Hamiltonian of a block, one batched RK4
-step of the identity gives each step's own matrix P_k, and a prefix scan
-over a tree of the steps gives the states P_k ... P_1 x, again with no
-loop over steps.  A block's operator stack and RK4 temporaries share one
-buffer of at most 2.6 MB, allocated for that block.
-Every step is linear, so P (x/|x|) points the same way as P x, and the
-state picture renormalizes the states of a segment or block, and takes
-their dynamical-phase trapezoids, in one pass after it.
+real 6x6 form of -iH; the recorded psi is a complex view of the walked
+rows.  Either A comes from one GEMM of the coefficient rows against a
+constant table (su3.two_term_sum).  On a constant segment one RK4 step is
+x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h A; the walk
+forms P once and reaches every step by repeated squaring.  A callable
+segment runs in blocks of steps: one call of its callable gives every
+stage Hamiltonian of a block, its operator stack holds the edge operators
+and then the midpoint ones, one batched RK4 step of the identity gives
+each step's P_k, and a prefix scan over a tree of the steps gives the
+states P_k ... P_1 x.  No loop runs over steps.  Every step is linear, so
+the state picture renormalizes the states of a segment or block, and
+takes their dynamical-phase trapezoids, in one pass after it.
 A schedule may take at most MAX_STEPS steps in total.
 """
 
@@ -51,11 +46,12 @@ class Schedule:
     A hamiltonian is a HamiltonianCoeffs, constant over its segment, or a
     callable that maps a 1-D array of k parameters, measured from the
     segment start, to one HamiltonianCoeffs with h0 of shape (k,) and h of
-    shape (k, 8), as geodesics.geodesic_hamiltonian_family does; an h or
-    h0 of another shape, a scalar h0 among them, raises ValueError before
-    the block's RK4 steps.  A constant segment that is not a
-    HamiltonianCoeffs with a scalar h0 and h of shape (8,) raises
-    ValueError here.
+    shape (k, 8), as geodesics.geodesic_hamiltonian_family does.  The walk
+    calls it once per block of steps, on the block's start and each step's
+    middle and end, in increasing order.  An h or h0 of another shape, a
+    scalar h0 among them, raises ValueError before the block's RK4 steps;
+    a constant segment that is not a HamiltonianCoeffs with a scalar h0
+    and h of shape (8,) raises ValueError here.
     """
 
     segments: tuple
@@ -164,14 +160,16 @@ def _chain(increments, x):
     right child that state moved on by its left sibling.  Each step then
     applies its own P to the state it starts from.
     """
-    levels = []
-    level = increments
-    while len(level) > 1:
-        levels.append(level)
-        earlier, later = level[0:-1:2], level[1::2]
-        paired = later + earlier
-        paired += later @ earlier
-        level = np.concatenate((paired, level[len(level) - len(level) % 2 :]))
+    levels = [increments]
+    products = np.empty_like(increments[: len(increments) // 2])
+    while len(levels[-1]) > 2:  # the root is never read
+        level = levels[-1]
+        pairs = len(level) // 2
+        paired = np.empty_like(level[pairs:])
+        np.add(level[1::2], level[0:-1:2], out=paired[:pairs])
+        paired[:pairs] += np.matmul(level[1::2], level[0:-1:2], out=products[:pairs])
+        paired[pairs:] = level[2 * pairs :]
+        levels.append(paired)
     firsts = x[None]
     for level in reversed(levels):
         lefts = firsts[: len(level) // 2]
@@ -183,30 +181,24 @@ def _chain(increments, x):
 
 
 _BLOCK_STEPS = 1024
-"""Steps of a callable segment evaluated and chained together, bounding memory;
-it also sizes the largest block buffer, 5 _BLOCK_STEPS + 1 8x8 matrices, about 2.6 MB."""
+"""Steps of a callable segment evaluated and chained together, bounding memory."""
 
 
 def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
     """Classical RK4 for the real linear ODE dx/ds = A x through a schedule.
 
-    counts gives each segment's number of steps and operator maps a
-    segment's HamiltonianCoeffs, or a stack of them, to the real matrix A.
-    The walk runs in pieces: a constant segment is one piece, and a
-    callable segment one piece per block of at most _BLOCK_STEPS steps.
-    A constant piece evaluates A once, takes the step matrix P as one RK4
-    step of the identity, and produces its rows P x, ..., P^n x by repeated
-    squaring.  A block calls the callable once, on its start and each
-    step's middle and end, takes every step's P_k - I from one batched RK4
-    step of the identity, and chains the rows P_k ... P_1 x by a prefix
-    scan.  At the walk's one settle point, settle(x, rows, h, start, ends)
-    maps a piece's rows to the ones recorded and carried on, given its
-    first x, that x's A and the stack of each step's end A; as every step
-    is linear, it may rescale rows freely.  Returns the sampled s and the
-    stacked x.  Settled rows go straight into the preallocated result;
-    beside it the walk holds only one piece.  A block's 5k + 1 operators
-    for k steps, its stack by operator(coeffs, out=) and then the RK4
-    temporaries, sit in one buffer of its own, 2.6 MB at most.
+    counts gives each segment's steps, and operator maps a HamiltonianCoeffs,
+    or a stack of them, to A.  A constant segment is one piece, a callable
+    segment one piece per block of at most _BLOCK_STEPS steps.  A block of
+    k steps calls the callable once, on its 2k + 1 stages in increasing
+    order, then reorders the coefficient rows once: its stack holds the
+    k + 1 edge operators, then the k midpoint ones, so that each step's
+    start, end and middle are contiguous slices.  The stack, by
+    operator(coeffs, out=), and the RK4 temporaries share one buffer of
+    5k + 1 operators, 2.6 MB at most.  settle(x, rows, h, start, ends) maps
+    a piece's rows to the ones recorded and carried on, given its first x,
+    that x's A and each step's end A; as every step is linear, it may
+    rescale rows freely.  Returns the sampled s and the stacked x.
     """
     s = np.zeros(1 + sum(counts))
     xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
@@ -221,7 +213,8 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
         for first in range(0, n_steps, _BLOCK_STEPS if callable(hamiltonian) else n_steps):
             if callable(hamiltonian):
                 edges = bounds[first : first + _BLOCK_STEPS + 1]
-                stages = np.empty(2 * len(edges) - 1)
+                k = len(edges) - 1
+                stages = np.empty(2 * k + 1)
                 stages[0::2] = edges
                 stages[1::2] = edges[:-1] + 0.5 * h
                 coeffs = hamiltonian(stages)
@@ -230,12 +223,15 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                     if got != shape:
                         message = "a schedule callable gave {} of shape {}, expected {}"
                         raise ValueError(message.format(name, got, shape))
-                # 5k + 1 slots of d x d doubles, one allocation: separate arrays ran perfbench
-                # transport 13% slower (2-vCPU x86), and reuse across blocks gained nothing
-                k = len(edges) - 1
+                # edges, then midpoints
+                order = np.r_[0 : 2 * k + 1 : 2, 1 : 2 * k : 2]
+                parts = np.take(coeffs.h0, order), np.take(coeffs.h, order, 0)
+                coeffs = geodesics.HamiltonianCoeffs(*parts)
+                # one allocation: separate arrays ran perfbench transport 13% slower (2-vCPU
+                # x86), and reuse across blocks gained nothing
                 slots = np.empty((5 * k + 1, x.size**2))
                 ops = operator(coeffs, out=slots[: 2 * k + 1])
-                starts, mids, ends = ops[:-1:2], ops[1::2], ops[2::2]
+                starts, ends, mids = ops[:k], ops[1 : k + 1], ops[k + 1 :]
                 temps = slots[2 * k + 1 :].reshape(3, *starts.shape)
                 increments = _rk4_increment(h, starts, mids, ends, temps)
                 rows, start = _chain(increments, x), ops[0]
@@ -270,16 +266,16 @@ class Trajectory(NamedTuple):
 
 
 def _state_generator(coeffs, out=None):
-    """Real 6x6 form of -iH on psi.view(float), filled by its 2x2 blocks, or a
-    stack of k of them; out of shape (k, 36), when given, takes the result."""
-    matrix = coeffs.matrix()
-    stack = matrix.shape[:-2]
-    generator = np.empty(stack + (36,)) if out is None else out
-    blocks = generator.reshape(stack + (3, 2, 3, 2))
-    blocks[..., :, 0, :, 0] = blocks[..., :, 1, :, 1] = matrix.imag
-    blocks[..., :, 0, :, 1] = matrix.real
-    np.negative(matrix.real, out=blocks[..., :, 1, :, 0])
-    return generator.reshape(stack + (6, 6))
+    """Real 6x6 form of -iH on psi.view(float), or a stack of k of them in out
+    of shape (k, 36) if given: 2x2 block (i, j) is [[Im H_ij, Re H_ij],
+    [-Re H_ij, Im H_ij]].  h0 joins Re H_ii and the -Re H entries are negated
+    in matrix()'s order, so each double, signed zeros too, is matrix()'s."""
+    generator = su3.two_term_sum(coeffs.h, su3.MINUS_I_TERMS, out)
+    for column in (1, 15, 29):  # Re H_ii
+        generator[..., column] += coeffs.h0
+    blocks = generator.reshape(*generator.shape[:-1], 3, 2, 3, 2)
+    np.negative(blocks[..., :, 0, :, 1], out=blocks[..., :, 1, :, 0])
+    return generator.reshape(*generator.shape[:-1], 6, 6)
 
 
 def _energies(x, generated):

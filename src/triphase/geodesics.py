@@ -171,7 +171,7 @@ class HamiltonianCoeffs(NamedTuple):
     A stack of k Hamiltonians has h0 of shape (k,) and h of shape (k, 8);
     matrix() then returns the (k, 3, 3) stack, each entry bit-identical to
     the matrix of that Hamiltonian alone.  Every entry of h.l has at most
-    two terms, so matrix() gathers them (su3.two_term_sum) instead of
+    two terms, so matrix() builds them by su3.two_term_sum instead of
     contracting h with LAMBDA, and gives the contraction's doubles,
     h0 I + einsum('...r,rij->...ij', h, LAMBDA), signed zeros included; an
     h whose last axis is not 8 raises ValueError.

@@ -15,11 +15,9 @@ Module-level constants:
 
 Both tables are generated from the independent nonzero components by
 explicit (anti)symmetrization, so every permutation is populated.
-``LAMBDA_TERMS``, ``F_TERMS``
-    Every entry of h.l and of F.h has at most two terms in h.  These hold
-    their indices and coefficients, derived from LAMBDA and F, so that
-    two_term_sum builds an operator stack by gathers, with the doubles of
-    the einsum over the table.
+``LAMBDA_TERMS``, ``F_TERMS``, ``MINUS_I_TERMS``
+    The tables of h.l, F.h and the real form of -i h.l, whose entries have
+    at most two terms in h, in the form two_term_sum takes.
 """
 
 from __future__ import annotations
@@ -96,26 +94,32 @@ D = _filled(_D_INDEPENDENT, (1,) * 6)
 def _two_term_form(table):
     """Two-term form of an (8, m) table whose columns have at most two nonzero rows.
 
-    Returns the row and coefficient of every column's first term (a
-    coefficient of 0 for an all-zero column), then a (column, row,
-    coefficient) triple for each column with a second term.
+    Returns the table with its two-term columns zeroed and, for each of
+    those, a tuple (column, row, row, coefficient, coefficient), rows increasing.
     """
-    if np.count_nonzero(table, axis=0).max() > 2:
+    counts = np.count_nonzero(table, axis=0)
+    if counts.max() > 2:
         raise ValueError("a column has more than two nonzero terms")
-    index = np.argsort(table == 0, axis=0, kind="stable")[:2]
-    coeff = np.take_along_axis(table, index, axis=0)
-    pairs = np.flatnonzero(coeff[1])
-    seconds = tuple(zip(pairs.tolist(), index[1, pairs].tolist(), coeff[1, pairs].tolist()))
-    return index[0], coeff[0], seconds
+    single, sums = table.copy(), []
+    for column in np.flatnonzero(counts == 2).tolist():
+        rows = np.flatnonzero(table[:, column])
+        sums.append((column, *rows.tolist(), *table[rows, column].tolist()))
+        single[:, column] = 0.0
+    return single, tuple(sums)
 
 
-LAMBDA_TERMS = _two_term_form(
-    np.stack((LAMBDA.real, LAMBDA.imag), axis=-1).reshape(8, 18)
-)
+LAMBDA_TERMS = _two_term_form(np.stack((LAMBDA.real, LAMBDA.imag), axis=-1).reshape(8, 18))
 """Two-term form of h.l: column (i, j, part) gives Re or Im of (h.l)_ij."""
 
 F_TERMS = _two_term_form(F.transpose(1, 0, 2).reshape(8, 64))
 """Two-term form of F.h: column (r, t) gives F[r, s, t] h_s summed over s."""
+
+_minus_i = np.zeros((8, 3, 2, 3, 2))
+_minus_i[:, :, 0, :, 0] = _minus_i[:, :, 1, :, 1] = LAMBDA.imag
+_minus_i[:, :, 0, :, 1] = LAMBDA.real
+MINUS_I_TERMS = _two_term_form(_minus_i.reshape(8, 36))
+"""Two-term form of -i h.l on psi.view(float): 2x2 block (i, j) is [[Im, Re],
+[-Re, Im]] of (h.l)_ij, its -Re entries left 0."""
 
 
 def two_term_sum(h, terms, out=None):
@@ -123,22 +127,20 @@ def two_term_sum(h, terms, out=None):
 
     h may carry leading batch dimensions, and its last axis must hold the
     table's eight rows, else ValueError; out, if given, takes the result.
-    The doubles are those of the einsum over T: its zero terms change no
-    nonzero sum, a sum of two products rounds the same in either order, and
-    the final + 0.0 turns a -0 into the +0 an einsum accumulator gives.  The
-    few second terms go in column by column, as a fancy-indexed write of
-    them costs more.  The einsum itself ran perfbench transport 4% slower
-    on a 2-vCPU x86 host.
+    The doubles are those of the einsum over T.  One matmul by the
+    single-term columns gives each column one product, rounded once on any
+    BLAS kernel, as every other term is an exact zero; each two-term column
+    is then written as its first product plus its second, and the final
+    + 0.0 turns a -0 into the +0 an einsum accumulator gives.  A non-finite
+    h gives NaN in every column, through inf * 0.
     """
-    index, coeff, seconds = terms
+    table, sums = terms
     h = np.asarray(h, dtype=float)
     if h.shape[-1:] != (8,):
         raise ValueError(f"two_term_sum got h of shape {h.shape}, expected (..., 8)")
-    # in range; "wrap" skips the bounds check
-    total = np.take(h, index, axis=-1, mode="wrap", out=out)
-    total *= coeff
-    for column, row, second in seconds:
-        total[..., column] += h[..., row] * second
+    total = np.matmul(h, table, out=out)
+    for column, first, second, a, b in sums:
+        total[..., column] = h[..., first] * a + h[..., second] * b
     total += 0.0
     return total
 

@@ -24,6 +24,9 @@ from hypothesis import strategies as st
 
 from triphase import checks, cli, csvtext, evolution, geodesics, phases, states, su3
 
+# a writer deadlock fails a threaded table's test in bounded time instead of hanging it
+from test_csv_writer import on_a_worker
+
 PI_4 = repr(math.pi / 4)
 PI_2 = repr(math.pi / 2)
 
@@ -567,14 +570,15 @@ def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch, values):
         ["evolve", str(tri), "--step", "0.01"],
         ["geodesic", str(s1), str(s2), "--samples", "50"],
     )
-    whole = []
-    for k, argv in enumerate(runs):
-        assert cli.main(argv + ["--out", str(tmp_path / f"whole{k}.csv")]) == 0
-        whole.append((tmp_path / f"whole{k}.csv").read_bytes())
+
+    def run(argv, name):
+        assert on_a_worker(lambda: cli.main(argv + ["--out", str(tmp_path / name)])) == 0
+        return (tmp_path / name).read_bytes()
+
+    whole = [run(argv, f"whole{k}.csv") for k, argv in enumerate(runs)]
     monkeypatch.setattr(csvtext, "PASS_VALUES", values)
     for k, argv in enumerate(runs):
-        assert cli.main(argv + ["--out", str(tmp_path / f"split{k}.csv")]) == 0
-        assert (tmp_path / f"split{k}.csv").read_bytes() == whole[k]
+        assert run(argv, f"split{k}.csv") == whole[k]
 
 
 def test_geodesic_across_blocks_matches_row_template(tmp_path):
@@ -583,7 +587,8 @@ def test_geodesic_across_blocks_matches_row_template(tmp_path):
     psi1, psi2 = states.random_state(3), states.random_state(4)
     write_state(a, psi1)
     write_state(b, psi2)
-    assert cli.main(["geodesic", str(a), str(b), "--samples", "20000", "--out", str(out)]) == 0
+    argv = ["geodesic", str(a), str(b), "--samples", "20000", "--out", str(out)]
+    assert on_a_worker(lambda: cli.main(argv)) == 0
     assert 20000 * 9 > 4 * csvtext.PASS_VALUES
     curve = geodesics.geodesic_between(states.density_of(psi1), states.density_of(psi2))
     grid = np.linspace(0.0, curve.length, 20000)

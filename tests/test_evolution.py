@@ -569,8 +569,17 @@ SIGNED_ZEROS = (
 )
 
 
+def wide_coefficients(rng, k):
+    # h0 and h of magnitudes from subnormal to 1e300, a third of them zero: each
+    # product of one GEMM column must round once, whatever its size
+    h = rng.standard_normal((k, 8)) * 10.0 ** rng.integers(-320, 300, (k, 8))
+    h[rng.random((k, 8)) < 0.3] = 0.0
+    h0 = rng.standard_normal(k) * 10.0 ** rng.integers(-320, 300, k)
+    return geodesics.HamiltonianCoeffs(h0, h)
+
+
 def einsum_operators(h0, h):
-    # the contractions the gathered operators must reproduce bit for bit
+    # the contractions the operator stacks must reproduce bit for bit
     matrix = np.multiply.outer(h0, np.eye(3)) + np.einsum("...r,rij->...ij", h, su3.LAMBDA)
     return matrix, 2.0 * np.einsum("rst,...s->...rt", su3.F, h)
 
@@ -607,6 +616,7 @@ def test_stage_operators_broadcast_bit_for_bit():
             np.array([h0 for h0, _ in SIGNED_ZEROS]), np.stack([h for _, h in SIGNED_ZEROS])
         ),
         geodesics.geodesic_hamiltonian_family(s, -0.0, 0.0, -0.0, 0.0),
+        wide_coefficients(np.random.default_rng(12), 40),
     ):
         matrix, adjoint = einsum_operators(coeffs.h0, coeffs.h)
         assert same_bits(coeffs.matrix(), matrix)
@@ -632,12 +642,47 @@ def test_constant_operators_unchanged():
         for _ in range(20)
     ]
     cases += [geodesics.HamiltonianCoeffs(h0, h) for h0, h in SIGNED_ZEROS]
+    cases += [geodesics.HamiltonianCoeffs(*row) for row in zip(*wide_coefficients(rng, 20))]
     for coeffs in cases:
         matrix = coeffs.h0 * np.eye(3) + np.einsum("r,rij->ij", coeffs.h, su3.LAMBDA)
         assert same_bits(coeffs.matrix(), matrix)
         adjoint = 2.0 * np.einsum("rst,s->rt", su3.F, coeffs.h)
         assert same_bits(evolution._adjoint_operator(coeffs), adjoint)
         assert same_bits(evolution._state_generator(coeffs), complex_generator(matrix))
+
+
+def test_h0_joins_only_the_diagonal_of_the_generator():
+    # beyond su3.MINUS_I_TERMS, h0 is the generator's one term: at Re H_ii and -Re H_ii
+    h0 = np.array([0.7, -0.0, -2.5e-310])
+    stacked = geodesics.HamiltonianCoeffs(h0, np.zeros((3, 8)))
+    expected = complex_generator(np.multiply.outer(h0, np.eye(3)) + 0j)
+    assert same_bits(evolution._state_generator(stacked), expected)
+    assert np.count_nonzero(expected[0]) == 6
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_a_callable_gets_each_block_of_stages_once_in_increasing_order(monkeypatch, block):
+    # edges and midpoints interleaved, as in a stage-by-stage RK4 walk
+    monkeypatch.setattr(evolution, "_BLOCK_STEPS", block)
+    calls = []
+
+    def family(s):
+        calls.append(s.copy())
+        return split_family(s)
+
+    both_pictures(split_schedule(family))
+    expected = []
+    for n_steps, duration in ((350, 0.35), (250, 0.25)):
+        h = duration / n_steps
+        bounds = np.concatenate(([0.0], np.cumsum(np.full(n_steps, h))))
+        for first in range(0, n_steps, block):
+            edges = bounds[first : first + block + 1]
+            stages = np.empty(2 * len(edges) - 1)
+            stages[0::2], stages[1::2] = edges, edges[:-1] + 0.5 * h
+            expected.append(stages)
+    assert len(calls) == 2 * len(expected)
+    for got, want in zip(calls, expected * 2):
+        assert same_bits(got, want) and np.all(np.diff(got) > 0.0)
 
 
 @pytest.mark.parametrize("picture", ["state", "nvector"])
