@@ -28,6 +28,7 @@ A schedule may take at most MAX_STEPS steps in total.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,17 +103,29 @@ def _step_counts(schedule, step):
     return counts
 
 
+@functools.cache
+def _identities(d, count):
+    """A read-only stack of count d x d identities, built on first use."""
+    stack = np.tile(np.eye(d), (count, 1, 1))
+    stack.flags.writeable = False
+    return stack
+
+
 def _rk4_increment(h, start, mid, end, out=(None, None, None)):
     """P - I for one classical RK4 step of x' = A x, given A at the step's
-    start, middle and end (each may be a stack).
+    start, middle and end: each a d x d matrix, or a stack of at most
+    _BLOCK_STEPS of them.
 
     The stages are those of RK4 applied to the identity, k1 = A_start and
-    k_j = A (I + c k_{j-1}), summed as ((k1 + 2 k2) + 2 k3) + k4.  out may
-    give three arrays of the result's shape to hold the temporaries scaled
-    and stage and the returned total.
+    k_j = A (I + c k_{j-1}), summed as ((k1 + 2 k2) + 2 k3) + k4.  A stack
+    adds I from a contiguous slice of _identities(d, _BLOCK_STEPS), which
+    runs faster than broadcasting np.eye(d) over it and adds the same
+    doubles.  out may give three arrays of the result's shape to hold the
+    temporaries scaled and stage and the returned total.
     """
     scaled, stage, total = out
-    identity = np.eye(start.shape[-1])
+    d = start.shape[-1]
+    identity = np.eye(d) if start.ndim == 2 else _identities(d, _BLOCK_STEPS)[: len(start)]
     # in place where it keeps the doubles, to spare temporaries of a block's size
     scaled = np.multiply(start, 0.5 * h, out=scaled)
     scaled += identity
@@ -191,14 +204,15 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
     or a stack of them, to A.  A constant segment is one piece, a callable
     segment one piece per block of at most _BLOCK_STEPS steps.  A block of
     k steps calls the callable once, on its 2k + 1 stages in increasing
-    order, then reorders the coefficient rows once: its stack holds the
-    k + 1 edge operators, then the k midpoint ones, so that each step's
-    start, end and middle are contiguous slices.  The stack, by
-    operator(coeffs, out=), and the RK4 temporaries share one buffer of
-    5k + 1 operators, 2.6 MB at most.  settle(x, rows, h, start, ends) maps
-    a piece's rows to the ones recorded and carried on, given its first x,
-    that x's A and each step's end A; as every step is linear, it may
-    rescale rows freely.  Returns the sampled s and the stacked x.
+    order, then concatenates the even and the odd coefficient rows, which
+    may come as any array-like: its stack holds the k + 1 edge operators,
+    then the k midpoint ones, so that each step's start, end and middle
+    are contiguous slices.  The stack, by operator(coeffs, out=), and the
+    RK4 temporaries share one buffer of 5k + 1 operators, 2.6 MB at most.
+    settle(x, rows, h, start, ends) maps a piece's rows to the ones
+    recorded and carried on, given its first x, that x's A and each step's
+    end A; as every step is linear, it may rescale rows freely.  Returns
+    the sampled s and the stacked x.
     """
     s = np.zeros(1 + sum(counts))
     xs = np.empty((len(s),) + x.shape, dtype=x.dtype)
@@ -223,10 +237,11 @@ def _walk(x, schedule, counts, operator, settle=lambda x, rows, *_: rows):
                     if got != shape:
                         message = "a schedule callable gave {} of shape {}, expected {}"
                         raise ValueError(message.format(name, got, shape))
-                # edges, then midpoints
-                order = np.r_[0 : 2 * k + 1 : 2, 1 : 2 * k : 2]
-                parts = np.take(coeffs.h0, order), np.take(coeffs.h, order, 0)
-                coeffs = geodesics.HamiltonianCoeffs(*parts)
+                # edges, then midpoints, of whatever array-likes the callable gave
+                parts = coeffs.h0, coeffs.h
+                coeffs = geodesics.HamiltonianCoeffs(
+                    *(np.concatenate((part[0::2], part[1::2])) for part in parts)
+                )
                 # one allocation: separate arrays ran perfbench transport 13% slower (2-vCPU
                 # x86), and reuse across blocks gained nothing
                 slots = np.empty((5 * k + 1, x.size**2))

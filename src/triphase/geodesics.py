@@ -220,12 +220,13 @@ def geodesic_hamiltonian_family(s, a, b, c, d):
     ((2/sqrt(3)) I + sqrt(3) l_3 + l_8) c - l_7, and c = 0 leaves -l_7.
     A scalar s gives h of shape (8,); an array of k parameters gives the
     stack with h0 of shape (k,) and h of shape (k, 8), row for row the same
-    doubles as the scalar calls.
+    doubles as the scalar calls.  The stack's h is a view of an (8, k)
+    array, whose component rows are written contiguously.
     """
     sin_s, cos_s = np.sin(s), np.cos(s)
-    h = np.empty(np.broadcast_shapes(*map(np.shape, (s, a, b, c, d))) + (8,))
-    h[..., 0], h[..., 1] = a * cos_s, b * cos_s
-    h[..., 2] = su3.SQRT3 * c + d * (cos_s * cos_s - sin_s * sin_s)
-    h[..., 3], h[..., 4], h[..., 5] = -a * sin_s, -b * sin_s, d * cos_s * sin_s
-    h[..., 6], h[..., 7] = -1.0, c
-    return HamiltonianCoeffs((2.0 / su3.SQRT3) * c - d * sin_s * sin_s, h)
+    h = np.empty((8,) + np.broadcast_shapes(*map(np.shape, (s, a, b, c, d))))
+    h[0], h[1] = a * cos_s, b * cos_s
+    h[2] = su3.SQRT3 * c + d * (cos_s * cos_s - sin_s * sin_s)
+    h[3], h[4], h[5] = -a * sin_s, -b * sin_s, d * cos_s * sin_s
+    h[6], h[7] = -1.0, c
+    return HamiltonianCoeffs((2.0 / su3.SQRT3) * c - d * sin_s * sin_s, np.moveaxis(h, 0, -1))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from triphase import checks, cli, csvtext, evolution, geodesics, phases, states, su3
 
-# a writer deadlock fails a threaded table's test in bounded time instead of hanging it
+# a writer deadlock fails an in-process CLI test in bounded time instead of hanging it
 from test_csv_writer import on_a_worker
 
 PI_4 = repr(math.pi / 4)
@@ -49,13 +49,18 @@ class Run(NamedTuple):
 
 
 def run_in_process(*args):
-    """cli.main(args) in this process; argparse's SystemExit gives the code."""
+    """cli.main(args) in this process, on a worker joined within on_a_worker's
+    time limit; argparse's SystemExit gives the code."""
+
+    def run():
+        try:
+            return cli.main(list(args))
+        except SystemExit as exc:
+            return exc.code
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
+        code = on_a_worker(run)
     return Run(code, out.getvalue(), err.getvalue())
 
 

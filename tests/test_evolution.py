@@ -660,6 +660,58 @@ def test_h0_joins_only_the_diagonal_of_the_generator():
     assert np.count_nonzero(expected[0]) == 6
 
 
+@pytest.mark.parametrize("d", [6, 8])
+@pytest.mark.parametrize("k", [1, 2, 750, evolution._BLOCK_STEPS])
+def test_stacked_rk4_increment_matches_single_steps(d, k):
+    # entries from subnormal to 1, with signed zeros among them
+    rng = np.random.default_rng([d, k])
+    ops = rng.standard_normal((3, k, d, d)) * 10.0 ** rng.integers(-320, 1, (3, k, d, d))
+    ops[rng.random(ops.shape) < 0.3] = 0.0
+    ops[rng.random(ops.shape) < 0.1] = -0.0
+    stacked = evolution._rk4_increment(1e-3, *ops)
+    for step, (start, mid, end) in enumerate(zip(*ops)):
+        assert same_bits(stacked[step], evolution._rk4_increment(1e-3, start, mid, end))
+    # the cached identities are read-only, so no in-place write reaches a later block
+    identities = evolution._identities(d, evolution._BLOCK_STEPS)
+    assert identities.shape == (evolution._BLOCK_STEPS, d, d) and not identities.flags.writeable
+    with pytest.raises(ValueError):
+        identities[:k] += stacked
+    assert same_bits(identities, np.broadcast_to(np.eye(d), identities.shape))
+
+
+def test_identities_follow_the_block_size(monkeypatch):
+    # a run at a smaller block size must not cut short a later block's identities
+    evolution._identities.cache_clear()
+    monkeypatch.setattr(evolution, "_BLOCK_STEPS", 7)
+    both_pictures(split_schedule())
+    monkeypatch.undo()
+    got = result_arrays(*both_pictures(split_schedule()))
+    evolution._identities.cache_clear()
+    expected = result_arrays(*both_pictures(split_schedule()))
+    assert all(same_bits(got[name], expected[name]) for name in expected)
+
+
+def test_callables_may_return_any_array_like():
+    # the split into edges and midpoints takes whatever array-likes a callable gives
+    def contiguous(s):
+        return geodesics.HamiltonianCoeffs(*map(np.ascontiguousarray, split_family(s)))
+
+    def transposed(s):  # h as the transpose of an (8, k) array
+        coeffs = split_family(s)
+        h = np.ascontiguousarray(coeffs.h.T).T
+        assert not h.flags.c_contiguous
+        return coeffs._replace(h=h)
+
+    def nested(s):
+        coeffs = split_family(s)
+        return geodesics.HamiltonianCoeffs(coeffs.h0.tolist(), coeffs.h.tolist())
+
+    expected = result_arrays(*both_pictures(split_schedule(contiguous)))
+    for family in (transposed, nested):
+        got = result_arrays(*both_pictures(split_schedule(family)))
+        assert all(same_bits(got[name], expected[name]) for name in expected)
+
+
 @pytest.mark.parametrize("block", [1, 3, 1024])
 def test_a_callable_gets_each_block_of_stages_once_in_increasing_order(monkeypatch, block):
     # edges and midpoints interleaved, as in a stage-by-stage RK4 walk
