@@ -13,7 +13,7 @@ eight-vector picture x = n and A = 2 F.h.  In the state picture x is the
 real 6-vector psi.view(float) = (re0, im0, re1, im1, re2, im2) and A the
 real 6x6 form of -iH; the recorded psi is a complex view of the walked
 rows.  Either A comes from one GEMM of the coefficient rows against a
-constant table (su3.two_term_sum).  On a constant segment one RK4 step is
+constant table (_two_term_sum).  On a constant segment one RK4 step is
 x -> P x, with P = I + a(I + a/2(I + a/3(I + a/4))) and a = h A; the walk
 forms P once and reaches every step by repeated squaring.  A callable
 segment runs in blocks of steps: one call of its callable gives every
@@ -280,12 +280,68 @@ class Trajectory(NamedTuple):
     norm_drift: float | None = None
 
 
+def _two_term_form(table):
+    """Two-term form of an (8, m) table whose columns have at most two nonzero rows.
+
+    Returns the table with its two-term columns zeroed and, for each of
+    those, a tuple (column, row, row, coefficient, coefficient), rows increasing.
+    """
+    counts = np.count_nonzero(table, axis=0)
+    if counts.max() > 2:
+        raise ValueError("a column has more than two nonzero terms")
+    single, sums = table.copy(), []
+    for column in np.flatnonzero(counts == 2).tolist():
+        rows = np.flatnonzero(table[:, column])
+        sums.append((column, *rows.tolist(), *table[rows, column].tolist()))
+        single[:, column] = 0.0
+    return single, tuple(sums)
+
+
+_F_TERMS = _two_term_form(su3.F.transpose(1, 0, 2).reshape(8, 64))
+"""Two-term form of F.h: column (r, t) gives F[r, s, t] h_s summed over s."""
+
+_minus_i = np.zeros((8, 3, 2, 3, 2))
+_minus_i[:, :, 0, :, 0] = _minus_i[:, :, 1, :, 1] = su3.LAMBDA.imag
+_minus_i[:, :, 0, :, 1] = su3.LAMBDA.real
+_MINUS_I_TERMS = _two_term_form(_minus_i.reshape(8, 36))
+"""Two-term form of -i h.l on psi.view(float): 2x2 block (i, j) is [[Im, Re],
+[-Re, Im]] of (h.l)_ij, its -Re entries left 0."""
+
+
+def _two_term_sum(h, terms, out=None):
+    """Columns sum_s h_s T[s, m] of a table T given by its two-term form.
+
+    h may carry leading batch dimensions, and its last axis must hold the
+    table's eight rows, else ValueError; out, if given, takes the result.
+    The doubles are those of the einsum over T for a finite h.  One matmul
+    by the single-term columns gives each column one product, rounded once
+    on any BLAS kernel, as every other term is an exact zero; each two-term
+    column is then written as its first product plus its second, and the
+    final + 0.0 turns a -0 into the +0 an einsum accumulator gives.  A
+    non-finite h_s makes each single-term column NaN through h_s * 0, or
+    +-inf where an inf h_s is its one term; a two-term column turns
+    non-finite only through its own two terms.  Those of both tables are
+    in h_3 and h_8, so an inf elsewhere leaves them finite, not the NaN of
+    the einsum.
+    """
+    table, sums = terms
+    h = np.asarray(h, dtype=float)
+    if h.shape[-1:] != (8,):
+        raise ValueError(f"_two_term_sum got h of shape {h.shape}, expected (..., 8)")
+    total = np.matmul(h, table, out=out)
+    for column, first, second, a, b in sums:
+        total[..., column] = h[..., first] * a + h[..., second] * b
+    total += 0.0
+    return total
+
+
 def _state_generator(coeffs, out=None):
     """Real 6x6 form of -iH on psi.view(float), or a stack of k of them in out
     of shape (k, 36) if given: 2x2 block (i, j) is [[Im H_ij, Re H_ij],
     [-Re H_ij, Im H_ij]].  h0 joins Re H_ii and the -Re H entries are negated
-    in matrix()'s order, so each double, signed zeros too, is matrix()'s."""
-    generator = su3.two_term_sum(coeffs.h, su3.MINUS_I_TERMS, out)
+    in matrix()'s order, so each double, signed zeros too, is matrix()'s for
+    a finite h."""
+    generator = _two_term_sum(coeffs.h, _MINUS_I_TERMS, out)
     for column in (1, 15, 29):  # Re H_ii
         generator[..., column] += coeffs.h0
     blocks = generator.reshape(*generator.shape[:-1], 3, 2, 3, 2)
@@ -330,7 +386,7 @@ def integrate_state(psi0, schedule, step=1e-3):
 
 def _adjoint_operator(coeffs, out=None):
     # 2 h ^ n is linear in n; each entry of F.h has at most two terms
-    entries = su3.two_term_sum(coeffs.h, su3.F_TERMS, out)
+    entries = _two_term_sum(coeffs.h, _F_TERMS, out)
     entries *= 2.0
     return entries.reshape(entries.shape[:-1] + (8, 8))
 

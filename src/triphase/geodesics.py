@@ -170,21 +170,19 @@ class HamiltonianCoeffs(NamedTuple):
 
     A stack of k Hamiltonians has h0 of shape (k,) and h of shape (k, 8);
     matrix() then returns the (k, 3, 3) stack, each entry bit-identical to
-    the matrix of that Hamiltonian alone.  Every entry of h.l has at most
-    two terms, so matrix() builds them by su3.two_term_sum instead of
-    contracting h with LAMBDA, and gives the contraction's doubles,
-    h0 I + einsum('...r,rij->...ij', h, LAMBDA), signed zeros included; an
-    h whose last axis is not 8 raises ValueError.
+    the matrix of that Hamiltonian alone: it is the contraction
+    h0 I + einsum('...r,rij->...ij', h, LAMBDA), and an h whose last axis
+    is not 8 raises ValueError.
     """
 
     h0: float
     h: np.ndarray
 
     def matrix(self):
-        parts = su3.two_term_sum(self.h, su3.LAMBDA_TERMS)
-        # the real parts of the diagonal, entries (i, i, 0), are every eighth
-        parts[..., ::8] += np.asarray(self.h0)[..., None]
-        return parts.view(complex).reshape(parts.shape[:-1] + (3, 3))
+        h = np.asarray(self.h, dtype=float)
+        if h.shape[-1:] != (8,):
+            raise ValueError(f"matrix() got h of shape {h.shape}, expected (..., 8)")
+        return np.multiply.outer(self.h0, np.eye(3)) + np.einsum("...r,rij->...ij", h, su3.LAMBDA)
 
 
 def constant_hamiltonian(n1, n2):

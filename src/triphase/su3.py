@@ -15,9 +15,6 @@ Module-level constants:
 
 Both tables are generated from the independent nonzero components by
 explicit (anti)symmetrization, so every permutation is populated.
-``LAMBDA_TERMS``, ``F_TERMS``, ``MINUS_I_TERMS``
-    The tables of h.l, F.h and the real form of -i h.l, whose entries have
-    at most two terms in h, in the form two_term_sum takes.
 """
 
 from __future__ import annotations
@@ -89,60 +86,6 @@ def _filled(independent, signs):
 
 F = _filled(_F_INDEPENDENT, _PARITY)
 D = _filled(_D_INDEPENDENT, (1,) * 6)
-
-
-def _two_term_form(table):
-    """Two-term form of an (8, m) table whose columns have at most two nonzero rows.
-
-    Returns the table with its two-term columns zeroed and, for each of
-    those, a tuple (column, row, row, coefficient, coefficient), rows increasing.
-    """
-    counts = np.count_nonzero(table, axis=0)
-    if counts.max() > 2:
-        raise ValueError("a column has more than two nonzero terms")
-    single, sums = table.copy(), []
-    for column in np.flatnonzero(counts == 2).tolist():
-        rows = np.flatnonzero(table[:, column])
-        sums.append((column, *rows.tolist(), *table[rows, column].tolist()))
-        single[:, column] = 0.0
-    return single, tuple(sums)
-
-
-LAMBDA_TERMS = _two_term_form(np.stack((LAMBDA.real, LAMBDA.imag), axis=-1).reshape(8, 18))
-"""Two-term form of h.l: column (i, j, part) gives Re or Im of (h.l)_ij."""
-
-F_TERMS = _two_term_form(F.transpose(1, 0, 2).reshape(8, 64))
-"""Two-term form of F.h: column (r, t) gives F[r, s, t] h_s summed over s."""
-
-_minus_i = np.zeros((8, 3, 2, 3, 2))
-_minus_i[:, :, 0, :, 0] = _minus_i[:, :, 1, :, 1] = LAMBDA.imag
-_minus_i[:, :, 0, :, 1] = LAMBDA.real
-MINUS_I_TERMS = _two_term_form(_minus_i.reshape(8, 36))
-"""Two-term form of -i h.l on psi.view(float): 2x2 block (i, j) is [[Im, Re],
-[-Re, Im]] of (h.l)_ij, its -Re entries left 0."""
-
-
-def two_term_sum(h, terms, out=None):
-    """Columns sum_s h_s T[s, m] of a table T given by its two-term form.
-
-    h may carry leading batch dimensions, and its last axis must hold the
-    table's eight rows, else ValueError; out, if given, takes the result.
-    The doubles are those of the einsum over T.  One matmul by the
-    single-term columns gives each column one product, rounded once on any
-    BLAS kernel, as every other term is an exact zero; each two-term column
-    is then written as its first product plus its second, and the final
-    + 0.0 turns a -0 into the +0 an einsum accumulator gives.  A non-finite
-    h gives NaN in every column, through inf * 0.
-    """
-    table, sums = terms
-    h = np.asarray(h, dtype=float)
-    if h.shape[-1:] != (8,):
-        raise ValueError(f"two_term_sum got h of shape {h.shape}, expected (..., 8)")
-    total = np.matmul(h, table, out=out)
-    for column, first, second, a, b in sums:
-        total[..., column] = h[..., first] * a + h[..., second] * b
-    total += 0.0
-    return total
 
 
 def wedge(a, b):

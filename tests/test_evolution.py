@@ -652,12 +652,67 @@ def test_constant_operators_unchanged():
 
 
 def test_h0_joins_only_the_diagonal_of_the_generator():
-    # beyond su3.MINUS_I_TERMS, h0 is the generator's one term: at Re H_ii and -Re H_ii
+    # beyond _MINUS_I_TERMS, h0 is the generator's one term: at Re H_ii and -Re H_ii
     h0 = np.array([0.7, -0.0, -2.5e-310])
     stacked = geodesics.HamiltonianCoeffs(h0, np.zeros((3, 8)))
     expected = complex_generator(np.multiply.outer(h0, np.eye(3)) + 0j)
     assert same_bits(evolution._state_generator(stacked), expected)
     assert np.count_nonzero(expected[0]) == 6
+
+
+def term_tables():
+    # each two-term form beside the table it stands for, built here from LAMBDA and F
+    minus_i = np.zeros((8, 3, 2, 3, 2))
+    minus_i[:, :, 0, :, 0] = minus_i[:, :, 1, :, 1] = su3.LAMBDA.imag
+    minus_i[:, :, 0, :, 1] = su3.LAMBDA.real
+    return (
+        (evolution._F_TERMS, su3.F.transpose(1, 0, 2).reshape(8, 64)),
+        (evolution._MINUS_I_TERMS, minus_i.reshape(8, 36)),
+    )
+
+
+def test_gemm_tables_have_one_term_a_column():
+    # a column with one nonzero row rounds its one product once on any BLAS kernel
+    for (table, _), _ in term_tables():
+        assert table.shape[0] == 8
+        assert np.count_nonzero(table, axis=0).max() <= 1
+
+
+def test_listed_sums_are_the_entries_of_two_terms():
+    for (table, sums), full in term_tables():
+        several = np.flatnonzero(np.count_nonzero(full, axis=0) >= 2)
+        assert [column for column, *_ in sums] == several.tolist()
+        rebuilt = table.copy()
+        for column, first, second, a, b in sums:
+            assert first < second and not table[:, column].any()
+            rebuilt[[first, second], column] = a, b
+        assert np.array_equal(rebuilt, full)
+    assert len(evolution._F_TERMS[1]) == 4 and len(evolution._MINUS_I_TERMS[1]) == 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_h_reaches_a_two_term_column_only_through_its_terms(bad):
+    # the GEMM takes bad * 0 in every single-term column but those of bad's own row
+    for terms, full in term_tables():
+        for row in range(8):
+            h = np.zeros(8)
+            h[row] = bad
+            with np.errstate(invalid="ignore"):
+                got = evolution._two_term_sum(h, terms)
+            for column, value in enumerate(got):
+                rows = np.flatnonzero(full[:, column])
+                own = h[rows] @ full[rows, column]
+                expected = own if len(rows) == 2 or row in rows else np.nan
+                assert np.array_equal(value, expected, equal_nan=True)
+    # every two-term column is in h_3 and h_8, so bad in h_1 leaves them 0
+    h = np.zeros(8)
+    h[0] = bad
+    coeffs = geodesics.HamiltonianCoeffs(0.0, h)
+    with np.errstate(invalid="ignore"):
+        generator = evolution._state_generator(coeffs)
+        adjoint = evolution._adjoint_operator(coeffs)
+    assert np.flatnonzero(np.isfinite(generator)).tolist() == [1, 6, 15, 20]
+    assert np.flatnonzero(np.isfinite(adjoint)).tolist() == [28, 35, 46, 53]
 
 
 @pytest.mark.parametrize("d", [6, 8])
@@ -802,6 +857,21 @@ def test_matrix_takes_only_eight_coefficients(shape):
         coeffs.matrix()
     with pytest.raises(ValueError, match=r"expected \(\.\.\., 8\)"):
         evolution._adjoint_operator(coeffs)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_matrix_is_the_einsum_for_a_non_finite_h(bad):
+    # the einsum meets bad * 0 in every entry, Re H_00 too, whose own terms are h_3 and h_8
+    for row in range(8):
+        h = np.zeros((2, 8))
+        h[:, row] = bad
+        for coeffs in (
+            geodesics.HamiltonianCoeffs(np.array([0.5, -0.0]), h),
+            geodesics.HamiltonianCoeffs(0.0, h[0]),
+        ):
+            with np.errstate(invalid="ignore"):
+                got = coeffs.matrix()
+            assert same_bits(got, einsum_operators(coeffs.h0, coeffs.h)[0])
 
 
 def test_integrate_nvector_takes_one_eight_vector():

@@ -158,34 +158,3 @@ def test_assert_special_unitary_rejects():
         with pytest.raises(NotSpecialUnitary):
             su3.adjoint_of(matrix)
 
-
-def term_tables():
-    # each two-term form beside the table it stands for, built here from LAMBDA and F
-    minus_i = np.zeros((8, 3, 2, 3, 2))
-    minus_i[:, :, 0, :, 0] = minus_i[:, :, 1, :, 1] = su3.LAMBDA.imag
-    minus_i[:, :, 0, :, 1] = su3.LAMBDA.real
-    return (
-        (su3.LAMBDA_TERMS, np.stack((su3.LAMBDA.real, su3.LAMBDA.imag), axis=-1).reshape(8, 18)),
-        (su3.F_TERMS, su3.F.transpose(1, 0, 2).reshape(8, 64)),
-        (su3.MINUS_I_TERMS, minus_i.reshape(8, 36)),
-    )
-
-
-def test_gemm_tables_have_one_term_a_column():
-    # a column with one nonzero row rounds its one product once on any BLAS kernel
-    for (table, _), _ in term_tables():
-        assert table.shape[0] == 8
-        assert np.count_nonzero(table, axis=0).max() <= 1
-
-
-def test_listed_sums_are_the_entries_of_two_terms():
-    for (table, sums), full in term_tables():
-        several = np.flatnonzero(np.count_nonzero(full, axis=0) >= 2)
-        assert [column for column, *_ in sums] == several.tolist()
-        rebuilt = table.copy()
-        for column, first, second, a, b in sums:
-            assert first < second and not table[:, column].any()
-            rebuilt[[first, second], column] = a, b
-        assert np.array_equal(rebuilt, full)
-    assert len(su3.F_TERMS[1]) == 4 and len(su3.LAMBDA_TERMS[1]) == 2
-    assert len(su3.MINUS_I_TERMS[1]) == 2
