@@ -122,6 +122,13 @@ def _nonorthogonal_states(rng, count=3):
 _nonorthogonal_triangle = _nonorthogonal_states
 
 
+def _ray_error(psi, target):
+    """Largest entry of |psi><psi| - |target><target|.  psi is an integrated
+    state and is not checked for norm, so a norm fault is measured here
+    rather than raised by density_of."""
+    return np.abs(np.outer(psi, psi.conj()) - states.density_of(target)).max()
+
+
 def check_algebra_tables(seed, trials):
     products = su3.LAMBDA[:, None] @ su3.LAMBDA[None, :]  # l_r l_s, all 64 pairs
     swapped = products.transpose(1, 0, 2, 3)
@@ -210,7 +217,6 @@ def check_chart_roundtrip(rng):
 def check_geodesics(rng):
     pair = _nonorthogonal_states(rng, 2)
     curve = geodesics.geodesic_between(*map(states.density_of, pair))
-    end = curve.endpoint
     grid = np.linspace(0.0, curve.length, 50)
     lifts = curve(grid)
     ns = states.n_vectors_of(lifts)
@@ -219,7 +225,7 @@ def check_geodesics(rng):
     mapped = geodesics.geodesic_between(*(states.density_of(unitary @ p) for p in pair))
     image = states.n_vectors_of(mapped(grid))
     return (
-        np.abs(np.outer(end, end.conj()) - states.density_of(pair[1])).max(),
+        _ray_error(curve.endpoint, pair[1]),
         np.abs(np.einsum("ki,ki->k", lifts.conj(), lifts).real - 1.0).max(),
         # 1 when the image curve is not planar with affine rank 2 and span rank 3
         float(not planar or affine_rank != 2 or geodesics.span_rank(ns) != 3),
@@ -346,14 +352,10 @@ def check_geodesic_generation(rng):
     opening = geodesics.geodesic_angle(na, nb)
     schedule = evolution.Schedule(((coeffs, opening),))
     trajectory = evolution.integrate_state(pair[0], schedule, 1e-3)
-    final = trajectory.psi[-1]
     energies = np.einsum(
         "ki,ij,kj->k", trajectory.psi.conj(), coeffs.matrix(), trajectory.psi
     ).real
-    return (
-        np.abs(np.outer(final, final.conj()) - states.density_of(pair[1])).max(),
-        np.abs(energies).max(),
-    )
+    return _ray_error(trajectory.psi[-1], pair[1]), np.abs(energies).max()
 
 
 def check_convergence_order(seed, trials):
@@ -363,7 +365,7 @@ def check_convergence_order(seed, trials):
     errors = []
     for step in (0.02, 0.01):
         final = evolution.integrate_state(np.eye(3, dtype=complex)[2], schedule, step).psi[-1]
-        errors.append(np.abs(np.outer(final, final.conj()) - states.density_of(target)).max())
+        errors.append(_ray_error(final, target))
     return [_result("evolution.convergence_order", errors[0] / errors[1])]
 
 

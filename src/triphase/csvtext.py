@@ -1,9 +1,10 @@
 """CSV text of float tables, byte for byte what '%.17g' % v prints.
 
 csv_chunks cuts a table once into vector passes and yields their text in
-order from one loop: the caller formats the even passes and one helper
-thread the odd ones, with at most two passes formatted ahead of the
-reader, so the bytes do not depend on the CPU count; a one-pass table, or
+order from one loop: the caller formats the even passes and asks one
+helper thread for the odd ones, one at a time, on a queue, and the helper
+answers on another, so at most two passes are formatted ahead of the
+reader and the bytes do not depend on the CPU count; a one-pass table, or
 a process held to one CPU, starts no thread.
 Each value's 17 significant digits come from a double-double product with
 an exact table of powers of ten (Dekker's split product) and are used
@@ -226,14 +227,18 @@ def csv_chunks(*columns):
     A table of two passes or more, when the process may run on two CPUs or
     more, is formatted on two threads; numpy releases the GIL inside its
     loops, so two passes run at once.  The caller formats the even passes
-    and one helper thread the odd ones, in order, and each pass is yielded
-    in its turn, so the text does not depend on the CPU count.  The helper
-    starts pass 2j + 1 only once pass 2j - 1 has been taken, so at most two
-    passes are formatted ahead of the reader: a reader that stalls stalls
-    the helper too.  An exception raised in a pass is raised here in that
+    and one helper thread the odd ones, and two queues join them: the
+    caller asks for an odd pass by putting its first row on one, and the
+    helper answers on the other with the pass's text or the exception it
+    raised.  The caller asks for pass k + 2 only once it has taken pass k,
+    so the helper holds at most one pass and at most two passes are
+    formatted ahead of the reader: a reader that stalls stalls the helper
+    too.  Each text is yielded in its turn, so the text does not depend on
+    the CPU count, and an exception raised in a pass is raised here in that
     pass's turn.  Closing the generator, as an abandoned one is closed,
-    releases the helper and joins it.  A one-pass table, or a process held
-    to one CPU, is formatted on the caller's thread and starts no thread.
+    tells the helper to stop and joins it once the pass it holds is done.
+    A one-pass table, or a process held to one CPU, is formatted on the
+    caller's thread, starts no thread and does not import queue.
     """
     # the fewest passes of at most PASS_VALUES values, an even number past one
     # so that two threads get equal shares, with equal row counts but the last
@@ -247,44 +252,37 @@ def csv_chunks(*columns):
         return csv_text(np.column_stack([c[first : first + step] for c in columns]))
 
     _keep_on_heap(256 * PASS_VALUES)  # twice a pass's peak of about 116 bytes a value
-    odd = firsts[1::2] if len(firsts) > 1 and _cpus() > 1 else range(0)
-    texts = [None] * len(odd)
-    done = [threading.Event() for _ in odd]  # set once pass 2j + 1's text is in texts[j]
-    taken = [threading.Event() for _ in odd]  # set once the caller has taken it
-    closing = False
+    helper = None
+    if len(firsts) > 1 and _cpus() > 1:
+        import queue  # here, so that a one-pass table does not pay for the import
 
-    def format_odd():
-        for j, first in enumerate(odd):
-            if j:
-                taken[j - 1].wait()
-            if closing:
-                return
-            try:
-                texts[j] = text(first)
-            except Exception as exc:  # handed to the caller in this pass's turn
-                texts[j] = exc
-            done[j].set()
+        asks, answers = queue.SimpleQueue(), queue.SimpleQueue()
 
-    helper = threading.Thread(target=format_odd) if odd else None
-    if helper:
+        def format_odd():
+            for first in iter(asks.get, None):
+                try:
+                    answers.put(text(first))
+                except Exception as exc:  # handed to the caller in this pass's turn
+                    answers.put(exc)
+
+        helper = threading.Thread(target=format_odd)
         _digit_tables()  # built once, before two threads could each build it
+        asks.put(firsts[1])
         helper.start()
     try:
         for k, first in enumerate(firsts):
-            if k % 2 == 0 or not odd:
+            if k % 2 == 0 or not helper:
                 piece = text(first)
             else:
-                done[k // 2].wait()
-                piece, texts[k // 2] = texts[k // 2], None
-                taken[k // 2].set()
+                piece = answers.get()
                 if isinstance(piece, Exception):
                     raise piece
+                if k + 2 < len(firsts):
+                    asks.put(firsts[k + 2])
             yield piece
     finally:
-        closing = True
-        for event in taken:  # wakes a helper waiting for its last pass to be taken
-            event.set()
         if helper:
+            asks.put(None)
             helper.join()
 
 

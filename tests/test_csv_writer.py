@@ -3,6 +3,7 @@
 import contextlib
 import math
 import os
+import subprocess
 import sys
 import threading
 
@@ -226,6 +227,21 @@ def test_one_pass_table_starts_no_thread(monkeypatch):
     assert started == []
 
 
+def test_a_one_pass_table_imports_no_queue_or_logging():
+    # in a fresh process, as a one-shot geodesic run prints its default table
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from triphase import csvtext\n"
+        "csvtext._cpus = lambda: 2\n"
+        "''.join(csvtext.csv_chunks(np.ones((200, 9))))\n"
+        "print(sorted({'concurrent.futures', 'logging', 'queue'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(csvtext.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 def test_a_table_starts_one_helper(monkeypatch, tmp_path):
     from triphase import cli
 
@@ -270,25 +286,30 @@ def test_a_stalled_reader_holds_at_most_two_passes_ahead(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_a_failing_pass_raises_in_its_turn(monkeypatch):
+# 14 passes of 15 rows at PASS_VALUES = 64: row 150 is in pass 10, which
+# the caller formats, and row 170 in pass 11, which the helper formats
+@pytest.mark.parametrize("row", [150, 170])
+def test_a_failing_pass_raises_in_its_turn(monkeypatch, row):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
     table = np.random.default_rng(6).standard_normal((200, 4))
-    table[150, 0] = 7.0
+    table[row, 0] = 7.0
     real = csvtext.csv_text
 
     def failing(rows):
         if (rows[:, 0] == 7.0).any():
-            raise ZeroDivisionError("the pass of row 150")
+            raise ZeroDivisionError(f"the pass of row {row}")
         return real(rows)
 
     monkeypatch.setattr(csvtext, "csv_text", failing)
+    before = threading.active_count()
     pieces = []
-    with pytest.raises(ZeroDivisionError, match="row 150"):
+    with pytest.raises(ZeroDivisionError, match=f"row {row}"):
         on_a_worker(lambda: read(table, pieces))
     # every pass before the failing one came out, and none after it
     text = "".join(pieces)
-    assert text == reference(table[: text.count("\n")]) and 100 < text.count("\n") <= 150
+    assert text == reference(table[: row // 15 * 15])
+    assert threading.active_count() == before
 
 
 def test_an_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
