@@ -288,8 +288,7 @@ def test_a_stalled_reader_holds_at_most_two_passes_ahead(monkeypatch):
 
 # 14 passes of 15 rows at PASS_VALUES = 64: row 150 is in pass 10, which
 # the caller formats, and row 170 in pass 11, which the helper formats
-@pytest.mark.parametrize("row", [150, 170])
-def test_a_failing_pass_raises_in_its_turn(monkeypatch, row):
+def fails_in_its_turn(monkeypatch, row):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(csvtext, "PASS_VALUES", 64)
     table = np.random.default_rng(6).standard_normal((200, 4))
@@ -310,6 +309,14 @@ def test_a_failing_pass_raises_in_its_turn(monkeypatch, row):
     text = "".join(pieces)
     assert text == reference(table[: row // 15 * 15])
     assert threading.active_count() == before
+
+
+def test_a_failing_pass_raises_in_its_turn(monkeypatch):
+    fails_in_its_turn(monkeypatch, 150)
+
+
+def test_a_failing_helper_pass_raises_in_its_turn(monkeypatch):
+    fails_in_its_turn(monkeypatch, 170)
 
 
 def test_an_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
